@@ -16,6 +16,7 @@ Exit status contract, stable across releases:
 from __future__ import annotations
 
 import argparse
+import dataclasses
 import json
 import math
 import re
@@ -26,7 +27,6 @@ from pathlib import Path
 
 from . import spectral
 from .errors import (
-    AreaZeroError,
     ExactModeError,
     InsufficientDataError,
     PolygonDocumentError,
@@ -36,14 +36,14 @@ from .errors import (
 from .exact_poly import (
     PlanePoint,
     Polygon,
-    centroid,
     iterate,
     vertex_centroid,
 )
 from .spectral import FloatPolygon
 from .verify import (
     FuzzConfig,
-    convergence_diagnostics,
+    centroid_sequence,
+    diagnostics_from_report,
     fuzz_hexagons,
     verify_hexagon_theorem,
     verify_proposition,
@@ -130,10 +130,16 @@ def to_exact_polygon(pairs: list[tuple[str, str]]) -> Polygon:
 
 
 def to_float_polygon(pairs: list[tuple[str, str]]) -> FloatPolygon:
-    """Float-mode conversion; accepts integers, fractions, and decimals."""
+    """Float-mode conversion; accepts integers, fractions, and decimals.
+
+    A coordinate beyond the double range raises PolygonDocumentError.
+    """
     verts = []
     for sx, sy in pairs:
-        verts.append(complex(float(Fraction(sx)), float(Fraction(sy))))
+        try:
+            verts.append(complex(float(Fraction(sx)), float(Fraction(sy))))
+        except OverflowError:
+            raise PolygonDocumentError(f"coordinate out of float range in [{sx!r}, {sy!r}]") from None
     return FloatPolygon(tuple(verts))
 
 
@@ -191,7 +197,7 @@ def cmd_verify(pairs: list[tuple[str, str]], steps: int) -> tuple[int, str]:
         return EXIT_INSUFFICIENT, _dumps(payload)
 
     try:
-        diag = convergence_diagnostics(poly, steps)
+        diag = diagnostics_from_report(report)
         mono = {
             "indices": list(diag.monotonicity.indices),
             "projections": list(diag.monotonicity.projections),
@@ -225,29 +231,7 @@ def cmd_fuzz(seed: int, trials: int, bound: int, steps: int) -> tuple[int, str]:
     """Seeded random campaign over integer hexagons."""
     cfg = FuzzConfig(seed=seed, trials=trials, coordinate_bound=bound, steps=steps)
     summary = fuzz_hexagons(cfg)
-    failure = None
-    if summary.first_failure is not None:
-        failure = {
-            "trial": summary.first_failure.trial,
-            "vertices": [list(v) for v in summary.first_failure.vertices],
-            "reason": summary.first_failure.reason,
-        }
-    payload = {
-        "schema": "fuzz/1",
-        "seed": summary.seed,
-        "trials": summary.trials,
-        "coordinate_bound": summary.coordinate_bound,
-        "steps": summary.steps,
-        "theorem_passes": summary.theorem_passes,
-        "theorem_failures": summary.theorem_failures,
-        "z_scaling_passes": summary.z_scaling_passes,
-        "z_scaling_failures": summary.z_scaling_failures,
-        "insufficient_data": summary.insufficient_data,
-        "undefined_centroids": summary.undefined_centroids,
-        "g0_on_line_true": summary.g0_on_line_true,
-        "g0_on_line_false": summary.g0_on_line_false,
-        "first_failure": failure,
-    }
+    payload = {"schema": "fuzz/1", **dataclasses.asdict(summary)}
     code = EXIT_OK if summary.failures == 0 else EXIT_VIOLATION
     return code, _dumps(payload)
 
@@ -325,12 +309,7 @@ def render_figure(poly: Polygon, spec: FigureSpec) -> str:
         raise WrongSizeError(f"figure requires a hexagon, got {len(poly)} vertices")
 
     chain = iterate(poly, spec.steps)
-    centroids: list[PlanePoint | None] = []
-    for q in chain:
-        try:
-            centroids.append(centroid(q))
-        except AreaZeroError:
-            centroids.append(None)
+    centroids = centroid_sequence(poly, spec.steps)
     limit = vertex_centroid(poly)
 
     world = [[(float(v.x), float(v.y)) for v in q] for q in chain]

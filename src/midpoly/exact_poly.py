@@ -1,10 +1,15 @@
 """Exact rational polygons and the midpoint iteration.
 
-Coordinates are arbitrary-precision rationals throughout, so midpoints,
-areas, moments, and centroids come out without any rounding. The midpoint
-map only ever divides by two, hence rational inputs stay rational under
-iteration; denominators grow by a factor of two per step and are never
-normalized away.
+Two exact representations share this module. The public one keeps
+coordinates as arbitrary-precision rationals (`Fraction`), so midpoints,
+areas, moments and centroids come out without any rounding. The lattice
+one serves the verifier's hot path and never builds a rational: a polygon
+is scaled once by L, the least common multiple of its coordinate
+denominators, onto integer vertices W_0. The midpoint map only divides by
+two, so the n-th iterate is the integer polygon W_n over L * 2^n, with
+W_n[k] = W_{n-1}[k] + W_{n-1}[k+1]. Twice the area and the moment Z of
+W_n are integer shoelace sums, and a centroid is the homogeneous integer
+triple (Zx, Zy, 3 * A2 * L * 2^n), i.e. the point (Zx / w, Zy / w).
 
 All values are immutable and all operations are pure functions, so callers
 may copy them freely and parallelize over independent polygons.
@@ -12,15 +17,20 @@ may copy them freely and parallelize over independent polygons.
 
 from __future__ import annotations
 
+import math
 from dataclasses import dataclass
 from fractions import Fraction
-from typing import Iterable
+from typing import Iterable, Sequence
 
 from .errors import AreaZeroError, WrongSizeError
 
 # The coordinate field. Stored in lowest terms with a positive denominator,
 # closed under +, -, *, and / by nonzero values.
 RationalScalar = Fraction
+
+# A point (x / w, y / w) of the plane as integers with w != 0. A triple with
+# w == 0 stands for the direction (x, y) instead, the point at infinity.
+Homogeneous = tuple[int, int, int]
 
 
 @dataclass(frozen=True)
@@ -218,3 +228,62 @@ def project_out_modes_0_3(p: Polygon) -> Polygon:
         sign = 1 if k % 2 == 0 else -1
         out.append(v - mean - alt.scaled(sign))
     return Polygon(tuple(out))
+
+
+def to_lattice(p: Polygon) -> tuple[int, list[int], list[int]]:
+    """Scale p onto the integer lattice: (L, xs, ys), vertex k being (xs[k], ys[k]) / L.
+
+    L is the least common multiple of all coordinate denominators, so it
+    is 1 for an integer polygon.
+    """
+    scale = math.lcm(*(c.denominator for v in p.vertices for c in (v.x, v.y)))
+    xs = [v.x.numerator * (scale // v.x.denominator) for v in p.vertices]
+    ys = [v.y.numerator * (scale // v.y.denominator) for v in p.vertices]
+    return scale, xs, ys
+
+
+def lattice_step(values: Sequence[int]) -> list[int]:
+    """One coordinate of the midpoint map on the lattice: W[k] + W[k+1], doubling the scale."""
+    return [a + b for a, b in zip(values, [*values[1:], *values[:1]])]
+
+
+def lattice_moments(xs: Sequence[int], ys: Sequence[int]) -> tuple[int, int, int]:
+    """(A2, Zx, Zy) of an integer polygon: twice the signed area and the moment Z."""
+    a2 = zx = zy = 0
+    x0, y0 = xs[-1], ys[-1]
+    for x1, y1 in zip(xs, ys):
+        c = x0 * y1 - x1 * y0
+        a2 += c
+        zx += (x0 + x1) * c
+        zy += (y0 + y1) * c
+        x0, y0 = x1, y1
+    return a2, zx, zy
+
+
+def lattice_centroids(
+    scale: int, xs: Sequence[int], ys: Sequence[int], n: int
+) -> list[Homogeneous | None]:
+    """Homogeneous centroids of the iterates 0..n of the polygon (xs, ys) / scale.
+
+    Iterate s is W_s / (scale * 2^s), so its centroid Z / (6 A) is
+    Z(W_s) / (3 * A2(W_s) * scale * 2^s); None marks a zero-area iterate.
+    """
+    out: list[Homogeneous | None] = []
+    for s in range(n + 1):
+        a2, zx, zy = lattice_moments(xs, ys)
+        out.append(None if a2 == 0 else (zx, zy, (3 * a2 * scale) << s))
+        if s < n:
+            xs, ys = lattice_step(xs), lattice_step(ys)
+    return out
+
+
+def from_homogeneous(h: Homogeneous) -> PlanePoint:
+    """The rational point (x / w, y / w) of a homogeneous triple with w != 0."""
+    x, y, w = h
+    return PlanePoint(Fraction(x, w), Fraction(y, w))
+
+
+def to_homogeneous(q: PlanePoint) -> Homogeneous:
+    """A homogeneous integer triple for the rational point q, with w > 0."""
+    return (q.x.numerator * q.y.denominator, q.y.numerator * q.x.denominator,
+            q.x.denominator * q.y.denominator)

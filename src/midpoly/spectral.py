@@ -225,6 +225,3 @@ def relative_close(a: float, b: float, rel: float = MOMENT_REL_TOL, floor: float
     """abs(a - b) within rel of magnitude, with an absolute floor."""
     return abs(a - b) <= max(floor, rel * max(abs(a), abs(b)))
 
-
-def complex_close(a: complex, b: complex, rel: float = MOMENT_REL_TOL, floor: float = MOMENT_ABS_FLOOR) -> bool:
-    return abs(a - b) <= max(floor, rel * max(abs(a), abs(b)))

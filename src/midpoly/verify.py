@@ -2,9 +2,11 @@
 
 Hexagons are special: all centroids of the iterates except possibly the
 first lie on one fixed line, exactly, and converge to the vertex centroid
-along it. This module checks that claim with zero-tolerance rational
-arithmetic, checks the exact moment scaling Z(Mv) = (3/8) Z(v) behind it,
-checks the elementary constancy for triangles and quadrilaterals, and
+along it. This module checks that claim with zero-tolerance integer
+arithmetic on the lattice form of the orbit (see `exact_poly`): centroids
+are homogeneous integer triples, equality is cross-multiplication and
+"on the line" is a vanishing 3x3 determinant. It also checks the exact
+moment scaling Z(Mv) = (3/8) Z(v) behind the claim, checks the elementary constancy for triangles and quadrilaterals, and
 demonstrates the failure of colinearity for every other vertex count via
 explicit counterexample polygons. A seeded fuzzing harness runs the
 hexagon checks over random integer inputs.
@@ -21,7 +23,6 @@ from __future__ import annotations
 import math
 import random
 from dataclasses import dataclass
-from fractions import Fraction
 from typing import NamedTuple, Sequence
 
 from .errors import (
@@ -31,13 +32,16 @@ from .errors import (
     WrongSizeError,
 )
 from .exact_poly import (
+    Homogeneous,
     PlanePoint,
     Polygon,
-    centroid,
-    midpoint_map,
-    project_out_modes_0_3,
+    from_homogeneous,
+    lattice_centroids,
+    lattice_moments,
+    lattice_step,
+    to_homogeneous,
+    to_lattice,
     vertex_centroid,
-    z_moment,
 )
 from .spectral import (
     FloatPolygon,
@@ -58,6 +62,51 @@ class LineCheck(NamedTuple):
     first_violation: int | None
 
 
+def _same_point(p: Homogeneous, q: Homogeneous) -> bool:
+    return p[0] * q[2] == q[0] * p[2] and p[1] * q[2] == q[1] * p[2]
+
+
+def _direction(a: Homogeneous, b: Homogeneous) -> Homogeneous:
+    """The direction from a to b, scaled by a_w * b_w, as a point at infinity."""
+    return (b[0] * a[2] - a[0] * b[2], b[1] * a[2] - a[1] * b[2], 0)
+
+
+def _on_line(q: Homogeneous, anchor: Homogeneous, direction: Homogeneous | None) -> bool:
+    """Exact membership of q in the line through anchor along direction.
+
+    The line degenerates to the anchor itself when direction is None.
+    Otherwise q is on it exactly when the 3x3 determinant of q, anchor and
+    the direction vanishes; since the direction has w == 0 that is the
+    cross product (q - anchor) x direction, scaled by q_w * anchor_w.
+    """
+    if direction is None:
+        return _same_point(q, anchor)
+    dx, dy, _ = direction
+    ax, ay, aw = anchor
+    qx, qy, qw = q
+    return qw * (ax * dy - ay * dx) == aw * (qx * dy - qy * dx)
+
+
+def _fit_line(points: Sequence[Homogeneous]) -> tuple[Homogeneous | None, int | None, int | None]:
+    """Anchor a line at points[0], directed toward the first distinct point.
+
+    Returns the direction (None when all points coincide), the position
+    of the point that fixed it, and the position of the first point off
+    the line (None when all are on it).
+    """
+    anchor = points[0]
+    direction: Homogeneous | None = None
+    through: int | None = None
+    for pos in range(1, len(points)):
+        q = points[pos]
+        if direction is None:
+            if not _same_point(q, anchor):
+                direction, through = _direction(anchor, q), pos
+        elif not _on_line(q, anchor, direction):
+            return direction, through, pos
+    return direction, through, None
+
+
 def exact_colinear(points: Sequence[PlanePoint]) -> LineCheck:
     """Decide whether all points lie on one line, by exact cross products.
 
@@ -69,30 +118,13 @@ def exact_colinear(points: Sequence[PlanePoint]) -> LineCheck:
     """
     if len(points) < 1:
         raise ValueError("need at least one point")
-    anchor = points[0]
-    direction: PlanePoint | None = None
-    for idx in range(1, len(points)):
-        offset = points[idx] - anchor
-        if direction is None:
-            if not offset.is_zero():
-                direction = offset
-        elif offset.cross(direction) != 0:
-            return LineCheck(False, idx)
-    return LineCheck(True, None)
+    _, _, violation = _fit_line([to_homogeneous(q) for q in points])
+    return LineCheck(violation is None, violation)
 
 
 def centroid_sequence(p: Polygon, n: int) -> list[PlanePoint | None]:
     """Centroids of p, Mp, ..., M^n p; None marks a zero-area iterate."""
-    out: list[PlanePoint | None] = []
-    current = p
-    for step in range(n + 1):
-        try:
-            out.append(centroid(current))
-        except AreaZeroError:
-            out.append(None)
-        if step < n:
-            current = midpoint_map(current)
-    return out
+    return [None if g is None else from_homogeneous(g) for g in lattice_centroids(*to_lattice(p), n)]
 
 
 @dataclass(frozen=True)
@@ -119,50 +151,38 @@ class ColinearityReport:
 
     def on_line(self, q: PlanePoint) -> bool:
         """Exact membership test against the report's line."""
-        if self.line_direction is None:
-            return q == self.line_anchor
-        return (q - self.line_anchor).cross(self.line_direction) == 0
+        anchor = to_homogeneous(self.line_anchor)
+        direction = None
+        if self.line_direction is not None:
+            direction = _direction(anchor, to_homogeneous(self.line_anchor + self.line_direction))
+        return _on_line(to_homogeneous(q), anchor, direction)
 
 
-def _colinearity_report(
-    centroids: Sequence[PlanePoint | None], limit: PlanePoint
-) -> ColinearityReport:
-    defined = [(n, g) for n, g in enumerate(centroids) if n >= 1 and g is not None]
+class _LineVerdict(NamedTuple):
+    """The colinearity decision on homogeneous centroids, by iterate index."""
+
+    anchor: int
+    through: int | None
+    first_violation: int | None
+    g0_on_line: bool | None
+    limit_on_line: bool
+
+
+def _decide_line(centroids: Sequence[Homogeneous | None], limit: Homogeneous) -> _LineVerdict:
+    defined = [n for n, g in enumerate(centroids) if n >= 1 and g is not None]
     if len(defined) < 2:
         raise InsufficientDataError(
             f"only {len(defined)} defined centroids past the first iterate"
         )
-    anchor = defined[0][1]
-    direction = None
-    for _, g in defined[1:]:
-        if g != anchor:
-            direction = g - anchor
-            break
-
-    all_colinear = True
-    first_violation = None
-    if direction is not None:
-        for n, g in defined:
-            if (g - anchor).cross(direction) != 0:
-                all_colinear = False
-                first_violation = n
-                break
-
-    def member(q: PlanePoint) -> bool:
-        if direction is None:
-            return q == anchor
-        return (q - anchor).cross(direction) == 0
-
+    direction, through, violation = _fit_line([centroids[n] for n in defined])
+    anchor = centroids[defined[0]]
     g0 = centroids[0]
-    return ColinearityReport(
-        centroids=tuple(centroids),
-        line_anchor=anchor,
-        line_direction=direction,
-        all_colinear=all_colinear,
-        first_violation=first_violation,
-        g0_on_line=None if g0 is None else member(g0),
-        limit_point=limit,
-        limit_on_line=member(limit),
+    return _LineVerdict(
+        anchor=defined[0],
+        through=None if through is None else defined[through],
+        first_violation=None if violation is None else defined[violation],
+        g0_on_line=None if g0 is None else _on_line(g0, anchor, direction),
+        limit_on_line=_on_line(limit, anchor, direction),
     )
 
 
@@ -178,17 +198,49 @@ def verify_hexagon_theorem(p: Polygon, n: int) -> ColinearityReport:
         raise WrongSizeError(f"expected a hexagon, got {len(p)} vertices")
     if n < 1:
         raise ValueError("need at least one iteration")
-    return _colinearity_report(centroid_sequence(p, n), vertex_centroid(p))
+    scale, xs, ys = to_lattice(p)
+    centroids = lattice_centroids(scale, xs, ys, n)
+    limit = (sum(xs), sum(ys), 6 * scale)
+    verdict = _decide_line(centroids, limit)
+    points = [None if g is None else from_homogeneous(g) for g in centroids]
+    anchor = points[verdict.anchor]
+    return ColinearityReport(
+        centroids=tuple(points),
+        line_anchor=anchor,
+        line_direction=None if verdict.through is None else points[verdict.through] - anchor,
+        all_colinear=verdict.first_violation is None,
+        first_violation=verdict.first_violation,
+        g0_on_line=verdict.g0_on_line,
+        limit_point=from_homogeneous(limit),
+        limit_on_line=verdict.limit_on_line,
+    )
+
+
+def _z_scaling_holds(xs: Sequence[int], ys: Sequence[int]) -> bool:
+    """Z(Mv) = (3/8) Z(v) for the integer hexagon v after projecting out modes 0 and 3.
+
+    Works on R = 6 v - sum(v) - (-1)^k sum((-1)^j v_j), six times the
+    projection, which keeps it integer. As Z is cubic and R + shift(R) is
+    2 M R, the identity reads Z(R + shift(R)) = 3 Z(R).
+    """
+    reduced = []
+    for values in (xs, ys):
+        total = sum(values)
+        alternating = sum(values[0::2]) - sum(values[1::2])
+        reduced.append([6 * v - total - (alternating if k % 2 == 0 else -alternating)
+                        for k, v in enumerate(values)])
+    rx, ry = reduced
+    _, zx, zy = lattice_moments(rx, ry)
+    _, zx1, zy1 = lattice_moments(lattice_step(rx), lattice_step(ry))
+    return zx1 == 3 * zx and zy1 == 3 * zy
 
 
 def verify_z_scaling(p: Polygon) -> bool:
     """Check Z(Mv) = (3/8) Z(v) exactly after projecting out modes 0 and 3."""
     if len(p) != 6:
         raise WrongSizeError(f"expected a hexagon, got {len(p)} vertices")
-    reduced = project_out_modes_0_3(p)
-    before = z_moment(reduced)
-    after = z_moment(midpoint_map(reduced))
-    return after.x * 8 == before.x * 3 and after.y * 8 == before.y * 3
+    _, xs, ys = to_lattice(p)
+    return _z_scaling_holds(xs, ys)
 
 
 def verify_small_m_invariance(p: Polygon, n: int) -> bool:
@@ -366,11 +418,14 @@ def trial_rng(seed: int, trial: int) -> random.Random:
     return random.Random((seed << 32) + trial)
 
 
+def random_integer_coords(rng: random.Random, m: int, bound: int) -> tuple[tuple[int, int], ...]:
+    """m integer vertices with independent coordinates uniform on [-bound, bound]^2."""
+    return tuple((rng.randint(-bound, bound), rng.randint(-bound, bound)) for _ in range(m))
+
+
 def random_integer_polygon(rng: random.Random, m: int, bound: int) -> Polygon:
     """m-gon with independent integer coordinates uniform on [-bound, bound]^2."""
-    return Polygon.from_coords(
-        [(rng.randint(-bound, bound), rng.randint(-bound, bound)) for _ in range(m)]
-    )
+    return Polygon.from_coords(random_integer_coords(rng, m, bound))
 
 
 def fuzz_hexagons(cfg: FuzzConfig) -> FuzzSummary:
@@ -393,33 +448,33 @@ def fuzz_hexagons(cfg: FuzzConfig) -> FuzzSummary:
     first_failure: FuzzFailure | None = None
 
     for trial in range(cfg.trials):
-        rng = trial_rng(cfg.seed, trial)
-        poly = random_integer_polygon(rng, 6, cfg.coordinate_bound)
-        coords = tuple((int(v.x), int(v.y)) for v in poly.vertices)
+        coords = random_integer_coords(trial_rng(cfg.seed, trial), 6, cfg.coordinate_bound)
+        xs = [x for x, _ in coords]
+        ys = [y for _, y in coords]
 
-        seq = centroid_sequence(poly, cfg.steps)
-        undefined += sum(1 for g in seq if g is None)
+        seq = lattice_centroids(1, xs, ys, cfg.steps)
+        undefined += seq.count(None)
 
         reason = None
         try:
-            report = _colinearity_report(seq, vertex_centroid(poly))
+            verdict = _decide_line(seq, (sum(xs), sum(ys), 6))
         except InsufficientDataError:
             insufficient += 1
         else:
-            if report.g0_on_line is True:
+            if verdict.g0_on_line is True:
                 g0_true += 1
-            elif report.g0_on_line is False:
+            elif verdict.g0_on_line is False:
                 g0_false += 1
-            if report.all_colinear and report.limit_on_line:
+            if verdict.first_violation is None and verdict.limit_on_line:
                 theorem_passes += 1
             else:
                 theorem_failures += 1
-                if not report.all_colinear:
-                    reason = f"centroids not colinear, first violation at iterate {report.first_violation}"
+                if verdict.first_violation is not None:
+                    reason = f"centroids not colinear, first violation at iterate {verdict.first_violation}"
                 else:
                     reason = "vertex centroid off the centroid line"
 
-        if verify_z_scaling(poly):
+        if _z_scaling_holds(xs, ys):
             z_passes += 1
         else:
             z_failures += 1
@@ -478,40 +533,51 @@ class ConvergenceDiagnostics:
     distance_ratios: tuple[float | None, ...]
 
 
-def _sign(x: Fraction) -> int:
+def _sign(x: int) -> int:
     return (x > 0) - (x < 0)
 
 
 def convergence_diagnostics(p: Polygon, n: int) -> ConvergenceDiagnostics:
     """Projection and distance-ratio diagnostics for a hexagon orbit.
 
-    Signs are decided on exact rationals; only the reported values are
-    floats. Requires at least three defined centroids past the first
-    iterate.
+    Runs the theorem check; see diagnostics_from_report.
     """
-    report = verify_hexagon_theorem(p, n)
-    limit = report.limit_point
-    defined = [(k, g) for k, g in enumerate(report.centroids) if k >= 1 and g is not None]
+    return diagnostics_from_report(verify_hexagon_theorem(p, n))
+
+
+def diagnostics_from_report(report: ColinearityReport) -> ConvergenceDiagnostics:
+    """Projection and distance-ratio diagnostics from a finished theorem check.
+
+    Every value starts as an exact ratio of integers: signs are decided
+    on those, and each reported float is the correctly rounded quotient.
+    Requires at least three defined centroids past the first iterate.
+    """
+    lx, ly, lw = to_homogeneous(report.limit_point)
+    defined = [
+        (k, to_homogeneous(g)) for k, g in enumerate(report.centroids) if k >= 1 and g is not None
+    ]
     if len(defined) < 3:
         raise InsufficientDataError("need at least three defined centroids")
 
+    # to_homogeneous gives w > 0. direction = (dx, dy) / c; centroid minus limit = (ox, oy) / ow
     direction = report.line_direction
-    if direction is None:
-        direction = PlanePoint(Fraction(1), Fraction(0))
-    norm2 = direction.dot(direction)
+    dx, dy, c = (1, 0, 1) if direction is None else to_homogeneous(direction)
+    norm2 = dx * dx + dy * dy
+    offsets = [(x * lw - lx * w, y * lw - ly * w, w * lw) for _, (x, y, w) in defined]
 
     indices = tuple(k for k, _ in defined)
-    exact_params = [(g - limit).dot(direction) / norm2 for _, g in defined]
+    # parameter along the line, (offset . direction) / |direction|^2, as num / den with den > 0
+    params = [((ox * dx + oy * dy) * c, ow * norm2) for ox, oy, ow in offsets]
 
-    signs = [_sign(t) for t in exact_params]
+    signs = [_sign(num) for num, _ in params]
     nonzero = [s for s in signs if s != 0]
     sign_changes = sum(1 for a, b in zip(nonzero, nonzero[1:]) if a != b)
 
-    diffs = [b - a for a, b in zip(exact_params, exact_params[1:])]
+    diff_signs = [_sign(nb * da - na * db) for (na, da), (nb, db) in zip(params, params[1:])]
     stable_from: int | None = None
     run_sign = 0
-    for pos in range(len(diffs) - 1, -1, -1):
-        s = _sign(diffs[pos])
+    for pos in range(len(diff_signs) - 1, -1, -1):
+        s = diff_signs[pos]
         if s == 0:
             continue
         if run_sign == 0:
@@ -523,19 +589,17 @@ def convergence_diagnostics(p: Polygon, n: int) -> ConvergenceDiagnostics:
         stable_from = indices[0]
 
     ratios: list[float | None] = []
-    for (ka, ga), (kb, gb) in zip(defined, defined[1:]):
-        da = ga - limit
-        db = gb - limit
-        if kb != ka + 1 or da.is_zero():
+    for (ka, _), (kb, _), (ax, ay, aw), (bx, by, bw) in zip(defined, defined[1:], offsets, offsets[1:]):
+        if kb != ka + 1 or (ax == 0 and ay == 0):
             ratios.append(None)
             continue
-        num = math.sqrt(float(db.dot(db)))
-        den = math.sqrt(float(da.dot(da)))
+        num = math.sqrt((bx * bx + by * by) / (bw * bw))
+        den = math.sqrt((ax * ax + ay * ay) / (aw * aw))
         ratios.append(num / den)
 
     mono = MonotonicityReport(
         indices=indices,
-        projections=tuple(float(t) for t in exact_params),
+        projections=tuple(num / den for num, den in params),
         stable_from=stable_from,
         sign_changes=sign_changes,
     )

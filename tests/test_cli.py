@@ -1,5 +1,6 @@
 """Document parsing, report serialization, exit codes, and SVG output."""
 
+import hashlib
 import json
 import re
 
@@ -45,6 +46,29 @@ CONSTANT_HEX_DOC = {"vertices": [["1", "1"]] * 6}
 L_HEX_DOC = {
     "vertices": [["0", "0"], ["2", "0"], ["2", "1"], ["1", "1"], ["1", "2"], ["0", "2"]]
 }
+
+
+# Reports of the Fraction-based implementation that the integer-lattice
+# kernel replaced; the kernel must reproduce them byte for byte.
+VERIFY_HEX_200_SHA256 = "c607ac1ffc1aae1e38ba85cd1828cf045cc5078152922d0d5ccf650da697ed60"
+FUZZ_SEED_42_REPORT = """\
+{
+  "coordinate_bound": 9,
+  "first_failure": null,
+  "g0_on_line_false": 991,
+  "g0_on_line_true": 2,
+  "insufficient_data": 0,
+  "schema": "fuzz/1",
+  "seed": 42,
+  "steps": 12,
+  "theorem_failures": 0,
+  "theorem_passes": 1000,
+  "trials": 1000,
+  "undefined_centroids": 8,
+  "z_scaling_failures": 0,
+  "z_scaling_passes": 1000
+}
+"""
 
 
 def doc(payload) -> list[tuple[str, str]]:
@@ -105,6 +129,10 @@ class TestModeConversion:
     def test_float_accepts_all_forms(self):
         fp = to_float_polygon([("1/2", "0.25"), ("-3", "1e1")])
         assert fp.vertices == (complex(0.5, 0.25), complex(-3.0, 10.0))
+
+    def test_float_overflow_rejected(self):
+        with pytest.raises(PolygonDocumentError):
+            to_float_polygon([("1", "1e400")])
 
 
 class TestIterateCommand:
@@ -312,6 +340,42 @@ class TestMainEntry:
         assert main(["fuzz", "--trials", "10", "--steps", "6"]) == EXIT_OK
         out = capsys.readouterr().out
         assert json.loads(out)["trials"] == 10
+
+    def test_float_overflow_exits_usage(self, tmp_path, capsys):
+        big = self.write(tmp_path, "big.json", {"vertices": [["1e400", "0"], ["1", "0"], ["0", "1"]]})
+        assert main(["iterate", big, "--mode", "float"]) == EXIT_USAGE
+        captured = capsys.readouterr()
+        assert captured.out == ""
+        assert captured.err.startswith("midpoly: error: ")
+        assert captured.err.count("\n") == 1
+
+    def test_verify_bytes_unchanged_at_200_steps(self, tmp_path, capsys):
+        hex_path = self.write(tmp_path, "hex.json", HEX_DOC)
+        assert main(["verify", hex_path, "--steps", "200"]) == EXIT_OK
+        out = capsys.readouterr().out.encode("utf-8")
+        assert hashlib.sha256(out).hexdigest() == VERIFY_HEX_200_SHA256
+
+    def test_fuzz_bytes_unchanged(self, capsys):
+        assert main(["fuzz", "--seed", "42", "--trials", "1000"]) == EXIT_OK
+        assert capsys.readouterr().out == FUZZ_SEED_42_REPORT
+
+    def test_verify_runs_theorem_check_once(self, tmp_path, capsys, monkeypatch):
+        import midpoly.cli
+        import midpoly.verify
+
+        calls = []
+        original = midpoly.verify.verify_hexagon_theorem
+
+        def counting(*args):
+            calls.append(args)
+            return original(*args)
+
+        for module in (midpoly.cli, midpoly.verify):
+            monkeypatch.setattr(module, "verify_hexagon_theorem", counting)
+        hex_path = self.write(tmp_path, "hex.json", HEX_DOC)
+        assert main(["verify", hex_path, "--steps", "12"]) == EXIT_OK
+        assert json.loads(capsys.readouterr().out)["monotonicity"] is not None
+        assert len(calls) == 1
 
     def test_output_flag_writes_file(self, tmp_path, capsys):
         sq = self.write(tmp_path, "sq.json", SQUARE_DOC)

@@ -5,7 +5,7 @@ import random
 from fractions import Fraction as F
 
 import pytest
-from hypothesis import given, settings
+from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
 from midpoly import (
@@ -17,13 +17,16 @@ from midpoly import (
     UnsupportedSizeError,
     WrongSizeError,
     build_counterexample,
+    centroid,
     centroid_sequence,
     convergence_diagnostics,
     counterexample_modes,
     exact_colinear,
     fuzz_hexagons,
+    iterate,
     midpoint_map,
     point,
+    project_out_modes_0_3,
     reconstruct,
     vertex_centroid,
     verify_hexagon_theorem,
@@ -32,7 +35,7 @@ from midpoly import (
     verify_z_scaling,
     z_moment,
 )
-from midpoly.verify import random_integer_polygon, trial_rng
+from midpoly.verify import FuzzFailure, FuzzSummary, random_integer_polygon, trial_rng
 
 # Frozen witnesses, found by seeded search over integer hexagons and kept
 # fixed so the properties they demonstrate stay pinned down.
@@ -50,6 +53,72 @@ rationals = st.fractions(min_value=-6, max_value=6, max_denominator=12)
 hexagons = st.lists(st.tuples(rationals, rationals), min_size=6, max_size=6).map(
     Polygon.from_coords
 )
+polygons_3_to_8 = st.integers(3, 8).flatmap(
+    lambda m: st.lists(st.tuples(rationals, rationals), min_size=m, max_size=m)
+).map(Polygon.from_coords)
+
+
+def centroid_or_none(q: Polygon) -> PlanePoint | None:
+    try:
+        return centroid(q)
+    except AreaZeroError:
+        return None
+
+
+def reference_fuzz(cfg: FuzzConfig) -> FuzzSummary:
+    """The fuzz campaign computed on the public Fraction API alone."""
+    counts = dict.fromkeys(
+        ["theorem_passes", "theorem_failures", "z_scaling_passes", "z_scaling_failures",
+         "insufficient_data", "undefined_centroids", "g0_on_line_true", "g0_on_line_false"],
+        0,
+    )
+    first_failure = None
+    for trial in range(cfg.trials):
+        poly = random_integer_polygon(trial_rng(cfg.seed, trial), 6, cfg.coordinate_bound)
+        seq = [centroid_or_none(q) for q in iterate(poly, cfg.steps)]
+        counts["undefined_centroids"] += seq.count(None)
+        defined = [(n, g) for n, g in enumerate(seq) if n >= 1 and g is not None]
+        reason = None
+        if len(defined) < 2:
+            counts["insufficient_data"] += 1
+        else:
+            anchor = defined[0][1]
+            direction = next((g - anchor for _, g in defined if g != anchor), None)
+
+            def member(q, anchor=anchor, direction=direction):
+                if direction is None:
+                    return q == anchor
+                return (q - anchor).cross(direction) == 0
+
+            violation = next((n for n, g in defined if not member(g)), None)
+            if seq[0] is not None:
+                counts["g0_on_line_true" if member(seq[0]) else "g0_on_line_false"] += 1
+            if violation is None and member(vertex_centroid(poly)):
+                counts["theorem_passes"] += 1
+            else:
+                counts["theorem_failures"] += 1
+                if violation is not None:
+                    reason = f"centroids not colinear, first violation at iterate {violation}"
+                else:
+                    reason = "vertex centroid off the centroid line"
+        reduced = project_out_modes_0_3(poly)
+        z0, z1 = z_moment(reduced), z_moment(midpoint_map(reduced))
+        if z1.x * 8 == z0.x * 3 and z1.y * 8 == z0.y * 3:
+            counts["z_scaling_passes"] += 1
+        else:
+            counts["z_scaling_failures"] += 1
+            reason = reason or "moment scaling Z(Mv) != (3/8) Z(v) after projection"
+        if reason is not None and first_failure is None:
+            coords = tuple((int(v.x), int(v.y)) for v in poly)
+            first_failure = FuzzFailure(trial=trial, vertices=coords, reason=reason)
+    return FuzzSummary(
+        seed=cfg.seed,
+        trials=cfg.trials,
+        coordinate_bound=cfg.coordinate_bound,
+        steps=cfg.steps,
+        first_failure=first_failure,
+        **counts,
+    )
 
 
 class TestExactColinear:
@@ -92,6 +161,83 @@ class TestCentroidSequence:
         chain = [L, midpoint_map(L), midpoint_map(midpoint_map(L))]
         for got, poly in zip(seq, chain):
             assert got == fan_centroid(poly)
+
+
+def reference_diagnostics(report) -> tuple:
+    """(indices, projections, stable_from, sign_changes, distance_ratios) on Fractions."""
+    limit = report.limit_point
+    defined = [(k, g) for k, g in enumerate(report.centroids) if k >= 1 and g is not None]
+    direction = report.line_direction or point(1, 0)
+    params = [(g - limit).dot(direction) / direction.dot(direction) for _, g in defined]
+    signs = [s for s in ((t > 0) - (t < 0) for t in params) if s != 0]
+    stable_from = defined[0][0]
+    run_sign = 0
+    for pos in range(len(params) - 2, -1, -1):
+        step = params[pos + 1] - params[pos]
+        s = (step > 0) - (step < 0)
+        if s != 0 and run_sign == 0:
+            run_sign = s
+        elif s != 0 and s != run_sign:
+            stable_from = defined[pos + 1][0]
+            break
+    ratios = []
+    for (ka, ga), (kb, gb) in zip(defined, defined[1:]):
+        da, db = ga - limit, gb - limit
+        if kb != ka + 1 or da.is_zero():
+            ratios.append(None)
+        else:
+            ratios.append(math.sqrt(float(db.dot(db))) / math.sqrt(float(da.dot(da))))
+    return (
+        tuple(k for k, _ in defined),
+        tuple(float(t) for t in params),
+        stable_from,
+        sum(1 for a, b in zip(signs, signs[1:]) if a != b),
+        tuple(ratios),
+    )
+
+
+class TestLatticeKernel:
+    """The integer-lattice orbit against the public Fraction API."""
+
+    @settings(max_examples=60, deadline=None)
+    @given(polygons_3_to_8, st.integers(0, 10))
+    @example(CONSTANT_HEX, 4)
+    @example(Polygon.from_coords([(0, 0), (1, 1), (2, 2), (F(7, 3), F(7, 3))]), 3)
+    @example(Polygon.from_coords(CENTRAL_SYMMETRIC_HEX), 5)
+    def test_centroid_sequence_matches_fraction_api(self, p, n):
+        assert centroid_sequence(p, n) == [centroid_or_none(q) for q in iterate(p, n)]
+
+    @settings(max_examples=40, deadline=None)
+    @given(hexagons, st.integers(3, 30))
+    @example(Polygon.from_coords(CENTRAL_SYMMETRIC_HEX), 6)
+    @example(Polygon.from_coords(OPPOSITE_SIGN_IMBALANCE_HEX), 40)
+    def test_diagnostics_match_fraction_reference(self, p, n):
+        try:
+            report = verify_hexagon_theorem(p, n)
+            diag = convergence_diagnostics(p, n)
+        except InsufficientDataError:
+            return
+        mono = diag.monotonicity
+        got = (mono.indices, mono.projections, mono.stable_from, mono.sign_changes,
+               diag.distance_ratios)
+        assert got == reference_diagnostics(report)
+
+    @pytest.mark.parametrize(
+        "cfg",
+        [
+            FuzzConfig(seed=42, trials=60, coordinate_bound=9, steps=12),
+            FuzzConfig(seed=11, trials=200, coordinate_bound=2, steps=5),
+            # bound 1: zero-area iterates, coincident centroids, insufficient data
+            FuzzConfig(seed=3, trials=300, coordinate_bound=1, steps=6),
+            FuzzConfig(seed=7, trials=300, coordinate_bound=1, steps=2),
+        ],
+    )
+    def test_fuzz_matches_fraction_reference(self, cfg):
+        summary = fuzz_hexagons(cfg)
+        assert summary == reference_fuzz(cfg)
+        if cfg.coordinate_bound == 1:
+            assert summary.insufficient_data > 0
+            assert summary.undefined_centroids > 0
 
 
 class TestHexagonTheorem:
