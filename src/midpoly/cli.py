@@ -130,17 +130,8 @@ def to_exact_polygon(pairs: list[tuple[str, str]]) -> Polygon:
 
 
 def to_float_polygon(pairs: list[tuple[str, str]]) -> FloatPolygon:
-    """Float-mode conversion; accepts integers, fractions, and decimals.
-
-    A coordinate beyond the double range raises PolygonDocumentError.
-    """
-    verts = []
-    for sx, sy in pairs:
-        try:
-            verts.append(complex(float(Fraction(sx)), float(Fraction(sy))))
-        except OverflowError:
-            raise PolygonDocumentError(f"coordinate out of float range in [{sx!r}, {sy!r}]") from None
-    return FloatPolygon(tuple(verts))
+    """Float-mode conversion of integers, fractions and decimals; see spectral.to_float_polygon."""
+    return spectral.to_float_polygon(Polygon.from_coords(pairs))
 
 
 def _dumps(payload) -> str:
@@ -223,7 +214,7 @@ def cmd_verify(pairs: list[tuple[str, str]], steps: int) -> tuple[int, str]:
         "centroids": [_point_json(g) for g in report.centroids],
         "monotonicity": mono,
     }
-    code = EXIT_OK if report.all_colinear else EXIT_VIOLATION
+    code = EXIT_OK if report.passed else EXIT_VIOLATION
     return code, _dumps(payload)
 
 
@@ -241,14 +232,8 @@ def cmd_proposition(m: int, steps: int, tolerance: float) -> tuple[int, str]:
     report = verify_proposition(m, steps, rel_tol=tolerance)
     payload = {
         "schema": "proposition/1",
-        "m": report.m,
+        **dataclasses.asdict(report),
         "steps": steps,
-        "slopes": list(report.slopes),
-        "ratios": list(report.ratios),
-        "measured_ratio": report.measured_ratio,
-        "expected_ratio": report.expected_ratio,
-        "ratio_ok": report.ratio_ok,
-        "lines_pairwise_distinct": report.lines_pairwise_distinct,
         "passed": report.passed,
         "centroids": [_complex_json(z) for z in report.centroids],
     }
@@ -308,13 +293,13 @@ def render_figure(poly: Polygon, spec: FigureSpec) -> str:
     if len(poly) != 6:
         raise WrongSizeError(f"figure requires a hexagon, got {len(poly)} vertices")
 
-    chain = iterate(poly, spec.steps)
+    world = [spectral.to_float_polygon(q) for q in iterate(poly, spec.steps)]
     centroids = centroid_sequence(poly, spec.steps)
     limit = vertex_centroid(poly)
-
-    world = [[(float(v.x), float(v.y)) for v in q] for q in chain]
-    xs = [x for q in world for x, _ in q]
-    ys = [y for q in world for _, y in q]
+    # the limit, then G_0 .. G_n; an undefined centroid holds the limit's place
+    marks = spectral.to_float_polygon(Polygon((limit, *(limit if g is None else g for g in centroids))))
+    xs = [z.real for q in world for z in q]
+    ys = [z.imag for q in world for z in q]
     min_x, max_x = min(xs), max(xs)
     min_y, max_y = min(ys), max(ys)
     if max_x - min_x < 1e-12:
@@ -347,19 +332,17 @@ def render_figure(poly: Polygon, spec: FigureSpec) -> str:
     for step, q in enumerate(world):
         frac = step / spec.steps if spec.steps else 0.0
         opacity = spec.fade_start + (spec.fade_end - spec.fade_start) * frac
-        pts = " ".join("{:.3f},{:.3f}".format(*to_screen(x, y)) for x, y in q)
+        pts = " ".join("{:.3f},{:.3f}".format(*to_screen(z.real, z.imag)) for z in q)
         parts.append(
             f'  <polygon points="{pts}" fill="none" stroke="#606060" '
             f'stroke-width="1.5" stroke-opacity="{opacity:.4f}"/>'
         )
 
     if spec.show_line:
-        first_defined = next(
-            (g for n, g in enumerate(centroids) if n >= 1 and g is not None), None
-        )
-        if first_defined is not None and first_defined != limit:
-            ax, ay = to_screen(float(limit.x), float(limit.y))
-            bx, by = to_screen(float(first_defined.x), float(first_defined.y))
+        first = next((n for n, g in enumerate(centroids) if n >= 1 and g is not None), None)
+        if first is not None and centroids[first] != limit:
+            ax, ay = to_screen(marks[0].real, marks[0].imag)
+            bx, by = to_screen(marks[first + 1].real, marks[first + 1].imag)
             seg = _clip_infinite_line(ax, ay, bx - ax, by - ay, spec.width, spec.height)
             if seg is not None:
                 (x1, y1), (x2, y2) = seg
@@ -369,10 +352,10 @@ def render_figure(poly: Polygon, spec: FigureSpec) -> str:
                 )
 
     if spec.show_centroids:
-        for g in centroids:
+        for g, z in zip(centroids, marks.vertices[1:]):
             if g is None:
                 continue
-            cx, cy = to_screen(float(g.x), float(g.y))
+            cx, cy = to_screen(z.real, z.imag)
             parts.append(f'  <circle cx="{cx:.3f}" cy="{cy:.3f}" r="2.5" fill="#000000"/>')
 
     parts.append("</svg>")
@@ -431,6 +414,9 @@ def _build_parser() -> argparse.ArgumentParser:
     return parser
 
 
+_PARSER = _build_parser()
+
+
 def _read_document(path: str) -> list[tuple[str, str]]:
     try:
         text = Path(path).read_text(encoding="utf-8")
@@ -440,8 +426,7 @@ def _read_document(path: str) -> list[tuple[str, str]]:
 
 
 def main(argv: list[str] | None = None) -> int:
-    parser = _build_parser()
-    args = parser.parse_args(argv)
+    args = _PARSER.parse_args(argv)
     try:
         if args.command == "iterate":
             code, text = cmd_iterate(_read_document(args.input), args.steps, args.mode)

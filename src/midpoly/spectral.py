@@ -25,7 +25,7 @@ import cmath
 import math
 from dataclasses import dataclass
 
-from .errors import DegenerateDenominatorError, WrongSizeError
+from .errors import DegenerateDenominatorError, PolygonDocumentError, WrongSizeError
 from .exact_poly import Polygon
 
 ROUND_TRIP_TOL = 1e-12
@@ -78,8 +78,14 @@ class ModeVector:
 
 
 def to_float_polygon(p: Polygon) -> FloatPolygon:
-    """Explicit one-way conversion from the exact representation."""
-    return FloatPolygon(tuple(complex(float(v.x), float(v.y)) for v in p.vertices))
+    """Explicit one-way conversion from the exact representation.
+
+    A coordinate beyond the double range raises PolygonDocumentError.
+    """
+    try:
+        return FloatPolygon(tuple(complex(float(v.x), float(v.y)) for v in p.vertices))
+    except OverflowError:
+        raise PolygonDocumentError("coordinate out of float range") from None
 
 
 def root_of_unity(m: int, j: int) -> complex:
@@ -108,29 +114,28 @@ def midpoint_map(p: FloatPolygon) -> FloatPolygon:
     return FloatPolygon(tuple(0.5 * (verts[k] + verts[(k + 1) % m]) for k in range(m)))
 
 
-def decompose(p: FloatPolygon) -> ModeVector:
-    """Mode coefficients xi_j = (1/m) sum_k v_k w^(-jk)."""
-    verts = p.vertices
-    m = len(verts)
-    coeffs = []
+def _dft(values: tuple[complex, ...], sign: int) -> list[complex]:
+    """Entry j is sum_k values[k] w^(sign*jk), from one table of the m roots."""
+    m = len(values)
+    roots = [root_of_unity(m, r) for r in range(m)]
+    out = []
     for j in range(m):
         acc = 0j
-        for k, v in enumerate(verts):
-            acc += v * root_of_unity(m, -j * k)
-        coeffs.append(acc / m)
-    return ModeVector(tuple(coeffs))
+        for k, v in enumerate(values):
+            acc += v * roots[sign * j * k % m]
+        out.append(acc)
+    return out
+
+
+def decompose(p: FloatPolygon) -> ModeVector:
+    """Mode coefficients xi_j = (1/m) sum_k v_k w^(-jk)."""
+    m = len(p.vertices)
+    return ModeVector(tuple(acc / m for acc in _dft(p.vertices, -1)))
 
 
 def reconstruct(mv: ModeVector) -> FloatPolygon:
     """Inverse of decompose: vertex k is sum_j xi_j w^(jk)."""
-    m = mv.m
-    verts = []
-    for k in range(m):
-        acc = 0j
-        for j, c in enumerate(mv.coefficients):
-            acc += c * root_of_unity(m, j * k)
-        verts.append(acc)
-    return FloatPolygon(tuple(verts))
+    return FloatPolygon(tuple(_dft(mv.coefficients, 1)))
 
 
 def advance_modes(mv: ModeVector, n: int) -> ModeVector:

@@ -22,6 +22,7 @@ from __future__ import annotations
 
 import math
 import random
+from collections import Counter
 from dataclasses import dataclass
 from typing import NamedTuple, Sequence
 
@@ -133,11 +134,12 @@ class ColinearityReport:
 
     centroids[n] is the centroid of the n-th iterate or None where the
     area vanishes. The line is anchored at the first defined centroid
-    with index >= 1, directed toward the next defined distinct one;
-    line_direction is None when all defined centroids coincide, in which
-    case the sequence counts as trivially colinear and membership means
-    equality with the anchor. g0_on_line is None when the initial
-    centroid is undefined.
+    with index >= 1, directed toward the next defined distinct one, or
+    toward the limit when all defined centroids coincide (two points
+    always share a line). line_direction is None when the limit
+    coincides with them too; membership then means equality with the
+    anchor. g0_on_line is None when the initial centroid is undefined.
+    failure is None when the check passes, else the reason it fails.
     """
 
     centroids: tuple[PlanePoint | None, ...]
@@ -148,6 +150,11 @@ class ColinearityReport:
     g0_on_line: bool | None
     limit_point: PlanePoint
     limit_on_line: bool
+    failure: str | None
+
+    @property
+    def passed(self) -> bool:
+        return self.failure is None
 
     def on_line(self, q: PlanePoint) -> bool:
         """Exact membership test against the report's line."""
@@ -159,7 +166,11 @@ class ColinearityReport:
 
 
 class _LineVerdict(NamedTuple):
-    """The colinearity decision on homogeneous centroids, by iterate index."""
+    """The colinearity decision on homogeneous centroids, by iterate index.
+
+    through is the index of the point that fixed the line's direction;
+    len(centroids) stands for the limit, which follows G_0 .. G_n.
+    """
 
     anchor: int
     through: int | None
@@ -167,20 +178,33 @@ class _LineVerdict(NamedTuple):
     g0_on_line: bool | None
     limit_on_line: bool
 
+    @property
+    def failure(self) -> str | None:
+        """Why the theorem check fails, or None when it passes."""
+        if self.first_violation is not None:
+            return f"centroids not colinear, first violation at iterate {self.first_violation}"
+        return None if self.limit_on_line else "vertex centroid off the centroid line"
+
 
 def _decide_line(centroids: Sequence[Homogeneous | None], limit: Homogeneous) -> _LineVerdict:
+    """Fit one line through the defined centroids past G_0, then the limit.
+
+    The limit lies on the true line, so it fixes the direction only when
+    every defined centroid coincides.
+    """
     defined = [n for n, g in enumerate(centroids) if n >= 1 and g is not None]
     if len(defined) < 2:
         raise InsufficientDataError(
             f"only {len(defined)} defined centroids past the first iterate"
         )
-    direction, through, violation = _fit_line([centroids[n] for n in defined])
+    direction, through, violation = _fit_line([centroids[n] for n in defined] + [limit])
+    slots = defined + [len(centroids)]  # iterate indices, then the limit's
     anchor = centroids[defined[0]]
     g0 = centroids[0]
     return _LineVerdict(
         anchor=defined[0],
-        through=None if through is None else defined[through],
-        first_violation=None if violation is None else defined[violation],
+        through=None if through is None else slots[through],
+        first_violation=None if violation in (None, len(defined)) else defined[violation],
         g0_on_line=None if g0 is None else _on_line(g0, anchor, direction),
         limit_on_line=_on_line(limit, anchor, direction),
     )
@@ -202,17 +226,18 @@ def verify_hexagon_theorem(p: Polygon, n: int) -> ColinearityReport:
     centroids = lattice_centroids(scale, xs, ys, n)
     limit = (sum(xs), sum(ys), 6 * scale)
     verdict = _decide_line(centroids, limit)
-    points = [None if g is None else from_homogeneous(g) for g in centroids]
+    points = [None if g is None else from_homogeneous(g) for g in (*centroids, limit)]
     anchor = points[verdict.anchor]
     return ColinearityReport(
-        centroids=tuple(points),
+        centroids=tuple(points[:-1]),
         line_anchor=anchor,
         line_direction=None if verdict.through is None else points[verdict.through] - anchor,
         all_colinear=verdict.first_violation is None,
         first_violation=verdict.first_violation,
         g0_on_line=verdict.g0_on_line,
-        limit_point=from_homogeneous(limit),
+        limit_point=points[-1],
         limit_on_line=verdict.limit_on_line,
+        failure=verdict.failure,
     )
 
 
@@ -392,6 +417,12 @@ class FuzzFailure:
     reason: str
 
 
+_FUZZ_COUNTERS = (
+    "theorem_passes", "theorem_failures", "z_scaling_passes", "z_scaling_failures",
+    "insufficient_data", "undefined_centroids", "g0_on_line_true", "g0_on_line_false",
+)
+
+
 @dataclass(frozen=True)
 class FuzzSummary:
     seed: int
@@ -431,20 +462,12 @@ def random_integer_polygon(rng: random.Random, m: int, bound: int) -> Polygon:
 def fuzz_hexagons(cfg: FuzzConfig) -> FuzzSummary:
     """Run the hexagon line check and the moment scaling check over random inputs.
 
-    Deterministic given the seed. A trial passes the line check when all
-    defined centroids past the first iterate are exactly colinear and the
-    vertex centroid lies on the line; trials with fewer than two defined
+    Deterministic given the seed. A trial passes the line check when the
+    theorem check on its orbit passes; trials with fewer than two defined
     centroids are counted as insufficient data, not as failures. The
     moment scaling check runs on every trial regardless.
     """
-    theorem_passes = 0
-    theorem_failures = 0
-    z_passes = 0
-    z_failures = 0
-    insufficient = 0
-    undefined = 0
-    g0_true = 0
-    g0_false = 0
+    counts = Counter(dict.fromkeys(_FUZZ_COUNTERS, 0))
     first_failure: FuzzFailure | None = None
 
     for trial in range(cfg.trials):
@@ -453,33 +476,23 @@ def fuzz_hexagons(cfg: FuzzConfig) -> FuzzSummary:
         ys = [y for _, y in coords]
 
         seq = lattice_centroids(1, xs, ys, cfg.steps)
-        undefined += seq.count(None)
+        counts["undefined_centroids"] += seq.count(None)
 
         reason = None
         try:
             verdict = _decide_line(seq, (sum(xs), sum(ys), 6))
         except InsufficientDataError:
-            insufficient += 1
+            counts["insufficient_data"] += 1
         else:
-            if verdict.g0_on_line is True:
-                g0_true += 1
-            elif verdict.g0_on_line is False:
-                g0_false += 1
-            if verdict.first_violation is None and verdict.limit_on_line:
-                theorem_passes += 1
-            else:
-                theorem_failures += 1
-                if verdict.first_violation is not None:
-                    reason = f"centroids not colinear, first violation at iterate {verdict.first_violation}"
-                else:
-                    reason = "vertex centroid off the centroid line"
+            if verdict.g0_on_line is not None:
+                counts["g0_on_line_true" if verdict.g0_on_line else "g0_on_line_false"] += 1
+            reason = verdict.failure
+            counts["theorem_passes" if reason is None else "theorem_failures"] += 1
 
-        if _z_scaling_holds(xs, ys):
-            z_passes += 1
-        else:
-            z_failures += 1
-            if reason is None:
-                reason = "moment scaling Z(Mv) != (3/8) Z(v) after projection"
+        z_ok = _z_scaling_holds(xs, ys)
+        counts["z_scaling_passes" if z_ok else "z_scaling_failures"] += 1
+        if not z_ok and reason is None:
+            reason = "moment scaling Z(Mv) != (3/8) Z(v) after projection"
 
         if reason is not None and first_failure is None:
             first_failure = FuzzFailure(trial=trial, vertices=coords, reason=reason)
@@ -489,15 +502,8 @@ def fuzz_hexagons(cfg: FuzzConfig) -> FuzzSummary:
         trials=cfg.trials,
         coordinate_bound=cfg.coordinate_bound,
         steps=cfg.steps,
-        theorem_passes=theorem_passes,
-        theorem_failures=theorem_failures,
-        z_scaling_passes=z_passes,
-        z_scaling_failures=z_failures,
-        insufficient_data=insufficient,
-        undefined_centroids=undefined,
-        g0_on_line_true=g0_true,
-        g0_on_line_false=g0_false,
         first_failure=first_failure,
+        **counts,
     )
 
 

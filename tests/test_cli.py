@@ -349,6 +349,31 @@ class TestMainEntry:
         assert captured.err.startswith("midpoly: error: ")
         assert captured.err.count("\n") == 1
 
+    def test_figure_overflow_exits_usage(self, tmp_path, capsys):
+        vertices = [["1" + "0" * 400, "0"], ["1", "0"], ["1", "1"], ["0", "1"], ["-1", "1"], ["0", "2"]]
+        big = self.write(tmp_path, "big.json", {"vertices": vertices})
+        out = tmp_path / "big.svg"
+        assert main(["figure", big, "--output", str(out)]) == EXIT_USAGE
+        captured = capsys.readouterr()
+        assert captured.err.startswith("midpoly: error: ")
+        assert captured.err.count("\n") == 1
+        assert not out.exists()
+
+    def test_fuzz_coincident_centroids_pass(self, capsys):
+        # trial 161: G_1 == G_2 != limit, so the line runs from G_1 to the limit
+        assert main(["fuzz", "--seed", "7", "--trials", "300", "--bound", "1", "--steps", "2"]) == EXIT_OK
+        assert json.loads(capsys.readouterr().out)["first_failure"] is None
+
+    def test_verify_coincident_centroids_line_runs_to_limit(self, tmp_path, capsys):
+        coords = [(-1, 1), (-1, 0), (0, 1), (-1, 1), (-1, -1), (1, -1)]
+        hex_path = self.write(tmp_path, "degen.json", {"vertices": [[str(x), str(y)] for x, y in coords]})
+        assert main(["verify", hex_path, "--steps", "2"]) == EXIT_OK
+        data = json.loads(capsys.readouterr().out)
+        assert data["centroids"][1] == data["centroids"][2] == ["-5/12", "-5/36"]
+        assert data["limit_point"] == ["-1/2", "1/6"]
+        assert data["line"]["direction"] == ["-1/12", "11/36"]
+        assert data["limit_on_line"] is True
+
     def test_verify_bytes_unchanged_at_200_steps(self, tmp_path, capsys):
         hex_path = self.write(tmp_path, "hex.json", HEX_DOC)
         assert main(["verify", hex_path, "--steps", "200"]) == EXIT_OK

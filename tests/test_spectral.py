@@ -1,5 +1,6 @@
 """Mode analysis: roots, eigenvalues, transforms, and moment formulas."""
 
+import cmath
 import math
 import random
 from fractions import Fraction as F
@@ -123,6 +124,24 @@ class TestTransform:
         hexa = reconstruct(mv)
         for k, v in enumerate(hexa):
             assert abs(v - root_of_unity(6, k)) <= 1e-12
+
+    def test_one_root_table_per_transform(self, monkeypatch):
+        m = 64
+        rng = random.Random(5)
+        p = spectral.FloatPolygon(tuple(complex(rng.uniform(-9, 9), rng.uniform(-9, 9)) for _ in range(m)))
+        mv = ModeVector(tuple(complex(rng.uniform(-9, 9), rng.uniform(-9, 9)) for _ in range(m)))
+        # the per-term formulas, one cmath.exp per term
+        w = lambda r: cmath.exp(2j * math.pi * (r % m) / m)
+        coeffs = [sum((v * w(-j * k) for k, v in enumerate(p.vertices)), 0j) / m for j in range(m)]
+        verts = [sum((c * w(j * k) for j, c in enumerate(mv.coefficients)), 0j) for k in range(m)]
+
+        calls = []
+        exp = cmath.exp
+        monkeypatch.setattr(cmath, "exp", lambda z: calls.append(z) or exp(z))
+        got = decompose(p)
+        assert len(calls) <= m
+        assert got.coefficients == tuple(coeffs)
+        assert reconstruct(mv).vertices == tuple(verts)
 
     @settings(max_examples=60, deadline=None)
     @given(float_polygons(max_m=64))

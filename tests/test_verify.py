@@ -83,7 +83,9 @@ def reference_fuzz(cfg: FuzzConfig) -> FuzzSummary:
             counts["insufficient_data"] += 1
         else:
             anchor = defined[0][1]
-            direction = next((g - anchor for _, g in defined if g != anchor), None)
+            # when every defined centroid coincides, the line runs to the limit
+            candidates = [g for _, g in defined] + [vertex_centroid(poly)]
+            direction = next((g - anchor for g in candidates if g != anchor), None)
 
             def member(q, anchor=anchor, direction=direction):
                 if direction is None:
