@@ -30,7 +30,6 @@ from .errors import (
     ExactModeError,
     InsufficientDataError,
     PolygonDocumentError,
-    UnsupportedSizeError,
     WrongSizeError,
 )
 from .exact_poly import (
@@ -39,8 +38,8 @@ from .exact_poly import (
     iterate,
     vertex_centroid,
 )
-from .spectral import FloatPolygon
 from .verify import (
+    RATIO_REL_TOL,
     FuzzConfig,
     centroid_sequence,
     diagnostics_from_report,
@@ -129,11 +128,6 @@ def to_exact_polygon(pairs: list[tuple[str, str]]) -> Polygon:
     return Polygon.from_coords(coords)
 
 
-def to_float_polygon(pairs: list[tuple[str, str]]) -> FloatPolygon:
-    """Float-mode conversion of integers, fractions and decimals; see spectral.to_float_polygon."""
-    return spectral.to_float_polygon(Polygon.from_coords(pairs))
-
-
 def _dumps(payload) -> str:
     return json.dumps(payload, indent=2, sort_keys=True) + "\n"
 
@@ -161,7 +155,7 @@ def cmd_iterate(pairs: list[tuple[str, str]], steps: int, mode: str) -> tuple[in
         seq = iterate(to_exact_polygon(pairs), steps)
         polys = [[[str(v.x), str(v.y)] for v in q] for q in seq]
     else:
-        current = to_float_polygon(pairs)
+        current = spectral.to_float_polygon(Polygon.from_coords(pairs))
         chain = [current]
         for _ in range(steps):
             current = spectral.midpoint_map(current)
@@ -189,13 +183,7 @@ def cmd_verify(pairs: list[tuple[str, str]], steps: int) -> tuple[int, str]:
 
     try:
         diag = diagnostics_from_report(report)
-        mono = {
-            "indices": list(diag.monotonicity.indices),
-            "projections": list(diag.monotonicity.projections),
-            "stable_from": diag.monotonicity.stable_from,
-            "sign_changes": diag.monotonicity.sign_changes,
-            "distance_ratios": list(diag.distance_ratios),
-        }
+        mono = {f.name: getattr(diag, f.name) for f in dataclasses.fields(diag)}
     except InsufficientDataError:
         mono = None
 
@@ -218,9 +206,8 @@ def cmd_verify(pairs: list[tuple[str, str]], steps: int) -> tuple[int, str]:
     return code, _dumps(payload)
 
 
-def cmd_fuzz(seed: int, trials: int, bound: int, steps: int) -> tuple[int, str]:
+def cmd_fuzz(cfg: FuzzConfig) -> tuple[int, str]:
     """Seeded random campaign over integer hexagons."""
-    cfg = FuzzConfig(seed=seed, trials=trials, coordinate_bound=bound, steps=steps)
     summary = fuzz_hexagons(cfg)
     payload = {"schema": "fuzz/1", **dataclasses.asdict(summary)}
     code = EXIT_OK if summary.failures == 0 else EXIT_VIOLATION
@@ -370,7 +357,17 @@ def cmd_figure(pairs: list[tuple[str, str]], spec: FigureSpec) -> tuple[int, str
 # ------------------------------ dispatch ------------------------------
 
 
+def _config(cls, args: argparse.Namespace):
+    """The dataclass cls built from the parsed options named after its fields."""
+    return cls(**{f.name: getattr(args, f.name) for f in dataclasses.fields(cls)})
+
+
 def _build_parser() -> argparse.ArgumentParser:
+    """One subparser per command, each registering its runner as `run`.
+
+    Options named after a FuzzConfig or FigureSpec field take their
+    defaults from that dataclass.
+    """
     parser = argparse.ArgumentParser(
         prog="midpoly",
         description="Midpoint iteration on polygons: exact centroid-line verification and figures.",
@@ -382,35 +379,43 @@ def _build_parser() -> argparse.ArgumentParser:
     p_it.add_argument("--steps", type=int, default=12)
     p_it.add_argument("--mode", choices=("exact", "float"), default="exact")
     p_it.add_argument("--output", default=None)
+    p_it.set_defaults(run=lambda a: cmd_iterate(_read_document(a.input), a.steps, a.mode))
 
     p_ve = sub.add_parser("verify", help="check the hexagon centroid line, exactly")
     p_ve.add_argument("input", help="hexagon document (JSON file)")
     p_ve.add_argument("--steps", type=int, default=12)
     p_ve.add_argument("--output", default=None)
+    p_ve.set_defaults(run=lambda a: cmd_verify(_read_document(a.input), a.steps))
 
     p_fz = sub.add_parser("fuzz", help="seeded random campaign over integer hexagons")
-    p_fz.add_argument("--seed", type=int, default=42)
-    p_fz.add_argument("--trials", type=int, default=1000)
-    p_fz.add_argument("--bound", type=int, default=9)
-    p_fz.add_argument("--steps", type=int, default=12)
+    p_fz.add_argument("--seed", type=int)
+    p_fz.add_argument("--trials", type=int)
+    p_fz.add_argument("--bound", type=int, dest="coordinate_bound", metavar="BOUND")
+    p_fz.add_argument("--steps", type=int)
     p_fz.add_argument("--output", default=None)
+    p_fz.set_defaults(run=lambda a: cmd_fuzz(_config(FuzzConfig, a)), **dataclasses.asdict(FuzzConfig()))
 
     p_pr = sub.add_parser("proposition", help="slope counterexample check for m-gons")
     p_pr.add_argument("m", type=int, help="vertex count (5 or at least 7)")
     p_pr.add_argument("--steps", type=int, default=10)
-    p_pr.add_argument("--tolerance", type=float, default=1e-9)
+    p_pr.add_argument("--tolerance", type=float, default=RATIO_REL_TOL)
     p_pr.add_argument("--output", default=None)
+    p_pr.set_defaults(run=lambda a: cmd_proposition(a.m, a.steps, a.tolerance))
 
     p_fg = sub.add_parser("figure", help="render the iterated hexagon as an SVG")
     p_fg.add_argument("input", help="hexagon document (JSON file)")
-    p_fg.add_argument("--steps", type=int, default=13)
+    p_fg.add_argument("--steps", type=int)
     p_fg.add_argument("--output", required=True)
-    p_fg.add_argument("--no-line", action="store_true")
-    p_fg.add_argument("--no-centroids", action="store_true")
-    p_fg.add_argument("--fade-start", type=float, default=1.0)
-    p_fg.add_argument("--fade-end", type=float, default=0.1)
-    p_fg.add_argument("--width", type=int, default=800)
-    p_fg.add_argument("--height", type=int, default=600)
+    p_fg.add_argument("--no-line", action="store_false", dest="show_line")
+    p_fg.add_argument("--no-centroids", action="store_false", dest="show_centroids")
+    p_fg.add_argument("--fade-start", type=float)
+    p_fg.add_argument("--fade-end", type=float)
+    p_fg.add_argument("--width", type=int)
+    p_fg.add_argument("--height", type=int)
+    p_fg.set_defaults(
+        run=lambda a: cmd_figure(_read_document(a.input), _config(FigureSpec, a)),
+        **dataclasses.asdict(FigureSpec()),
+    )
     return parser
 
 
@@ -428,26 +433,8 @@ def _read_document(path: str) -> list[tuple[str, str]]:
 def main(argv: list[str] | None = None) -> int:
     args = _PARSER.parse_args(argv)
     try:
-        if args.command == "iterate":
-            code, text = cmd_iterate(_read_document(args.input), args.steps, args.mode)
-        elif args.command == "verify":
-            code, text = cmd_verify(_read_document(args.input), args.steps)
-        elif args.command == "fuzz":
-            code, text = cmd_fuzz(args.seed, args.trials, args.bound, args.steps)
-        elif args.command == "proposition":
-            code, text = cmd_proposition(args.m, args.steps, args.tolerance)
-        else:
-            spec = FigureSpec(
-                steps=args.steps,
-                show_line=not args.no_line,
-                show_centroids=not args.no_centroids,
-                fade_start=args.fade_start,
-                fade_end=args.fade_end,
-                width=args.width,
-                height=args.height,
-            )
-            code, text = cmd_figure(_read_document(args.input), spec)
-    except (PolygonDocumentError, WrongSizeError, UnsupportedSizeError, ValueError) as exc:
+        code, text = args.run(args)
+    except ValueError as exc:
         print(f"midpoly: error: {exc}", file=sys.stderr)
         return EXIT_USAGE
     except InsufficientDataError as exc:

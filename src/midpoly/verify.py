@@ -22,6 +22,7 @@ from __future__ import annotations
 
 import math
 import random
+import sys
 from collections import Counter
 from dataclasses import dataclass
 from typing import NamedTuple, Sequence
@@ -349,10 +350,14 @@ def verify_proposition(m: int, n: int, rel_tol: float = RATIO_REL_TOL) -> Counte
     Computes Z of each iterate in mode coordinates, forms the slope
     sequence s_0 .. s_n, and checks that every successive ratio matches
     the expected value within rel_tol and that all slopes are pairwise
-    distinct.
+    distinct. rel_tol must be finite and nonnegative. Raises
+    InsufficientDataError when a part of Z underflows to zero, since the
+    slope is then undefined or meaningless.
     """
     if n < 3:
         raise ValueError("need at least three iterations")
+    if not (math.isfinite(rel_tol) and rel_tol >= 0.0):
+        raise ValueError(f"tolerance must be finite and nonnegative, got {rel_tol!r}")
     mv = counterexample_modes(m)
     expected = 2.0 * math.cos(2.0 * math.pi / m) - 1.0
 
@@ -361,6 +366,8 @@ def verify_proposition(m: int, n: int, rel_tol: float = RATIO_REL_TOL) -> Counte
     for step in range(n + 1):
         advanced = advance_modes(mv, step)
         z = z_from_modes(advanced)
+        if z.real == 0.0 or z.imag == 0.0:
+            raise InsufficientDataError(f"moment Z underflows to zero at step {step}")
         slopes.append(z.imag / z.real)
         area = area_from_modes(advanced)
         overlays.append(None if area == 0.0 else z / (6.0 * area))
@@ -508,8 +515,8 @@ def fuzz_hexagons(cfg: FuzzConfig) -> FuzzSummary:
 
 
 @dataclass(frozen=True)
-class MonotonicityReport:
-    """Signed positions of the centroids along the line, with sign data.
+class ConvergenceDiagnostics:
+    """Signed positions of the centroids along the line, and distance ratios.
 
     projections[i] is the parameter of centroid G_{indices[i]} along the
     line direction, measured from the vertex centroid (the orbit limit).
@@ -517,30 +524,33 @@ class MonotonicityReport:
     form implies at most one. stable_from is the least listed index from
     which consecutive projection differences keep a single sign through
     the horizon ("eventually monotonic").
+
+    distance_ratios[i] is |G_{n+1} - limit| / |G_n - limit| for
+    n = indices[i]; None marks a gap (non-consecutive defined iterates),
+    a centroid sitting exactly on the limit, or a squared distance that
+    is not a normal double (it overflows, or falls under 2.2e-308 where
+    the ratio turns to rounding noise). The ratios approach 1/2 whenever
+    the leading mode imbalance |xi_1|^2 - |xi_5|^2 is nonzero.
     """
 
     indices: tuple[int, ...]
     projections: tuple[float, ...]
     stable_from: int | None
     sign_changes: int
-
-
-@dataclass(frozen=True)
-class ConvergenceDiagnostics:
-    """Monotonicity report plus distance ratios |G_{n+1} - limit| / |G_n - limit|.
-
-    distance_ratios[i] compares indices[i] to indices[i+1]; None marks a
-    gap (non-consecutive defined iterates) or a centroid sitting exactly
-    on the limit. The ratios approach 1/2 whenever the leading mode
-    imbalance |xi_1|^2 - |xi_5|^2 is nonzero.
-    """
-
-    monotonicity: MonotonicityReport
     distance_ratios: tuple[float | None, ...]
 
 
 def _sign(x: int) -> int:
     return (x > 0) - (x < 0)
+
+
+def _normal_quotient(num: int, den: int) -> float | None:
+    """num / den correctly rounded, or None unless it is a normal double."""
+    try:
+        q = num / den
+    except OverflowError:
+        return None
+    return q if q >= sys.float_info.min else None
 
 
 def convergence_diagnostics(p: Polygon, n: int) -> ConvergenceDiagnostics:
@@ -594,19 +604,16 @@ def diagnostics_from_report(report: ColinearityReport) -> ConvergenceDiagnostics
     if stable_from is None:
         stable_from = indices[0]
 
-    ratios: list[float | None] = []
-    for (ka, _), (kb, _), (ax, ay, aw), (bx, by, bw) in zip(defined, defined[1:], offsets, offsets[1:]):
-        if kb != ka + 1 or (ax == 0 and ay == 0):
-            ratios.append(None)
-            continue
-        num = math.sqrt((bx * bx + by * by) / (bw * bw))
-        den = math.sqrt((ax * ax + ay * ay) / (aw * aw))
-        ratios.append(num / den)
+    dist2 = [_normal_quotient(ox * ox + oy * oy, ow * ow) for ox, oy, ow in offsets]
+    ratios = [
+        None if kb != ka + 1 or a2 is None or b2 is None else math.sqrt(b2) / math.sqrt(a2)
+        for (ka, _), (kb, _), a2, b2 in zip(defined, defined[1:], dist2, dist2[1:])
+    ]
 
-    mono = MonotonicityReport(
+    return ConvergenceDiagnostics(
         indices=indices,
         projections=tuple(num / den for num, den in params),
         stable_from=stable_from,
         sign_changes=sign_changes,
+        distance_ratios=tuple(ratios),
     )
-    return ConvergenceDiagnostics(monotonicity=mono, distance_ratios=tuple(ratios))

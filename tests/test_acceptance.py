@@ -236,11 +236,10 @@ def test_criterion_9_convergence_rate_and_monotonicity():
             diag = convergence_diagnostics(poly, 40)
         except InsufficientDataError:
             continue
-        mono = diag.monotonicity
-        assert mono.sign_changes <= 1, poly
+        assert diag.sign_changes <= 1, poly
 
         tail = []
-        for pos, left_index in enumerate(mono.indices[:-1]):
+        for pos, left_index in enumerate(diag.indices[:-1]):
             if left_index >= 25 and pos < len(diag.distance_ratios):
                 r = diag.distance_ratios[pos]
                 if r is not None:

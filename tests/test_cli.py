@@ -10,6 +10,7 @@ from midpoly.cli import (
     EXIT_INSUFFICIENT,
     EXIT_OK,
     EXIT_USAGE,
+    EXIT_VIOLATION,
     FigureSpec,
     cmd_figure,
     cmd_fuzz,
@@ -21,7 +22,6 @@ from midpoly.cli import (
     render_figure,
     serialize_polygon_document,
     to_exact_polygon,
-    to_float_polygon,
 )
 from midpoly.errors import (
     ExactModeError,
@@ -29,6 +29,8 @@ from midpoly.errors import (
     WrongSizeError,
 )
 from midpoly.exact_poly import Polygon
+from midpoly.spectral import to_float_polygon
+from midpoly.verify import FuzzConfig
 
 HEX_DOC = {
     "schema": "polygon/1",
@@ -127,12 +129,12 @@ class TestModeConversion:
         assert len(poly) == 2
 
     def test_float_accepts_all_forms(self):
-        fp = to_float_polygon([("1/2", "0.25"), ("-3", "1e1")])
+        fp = to_float_polygon(Polygon.from_coords([("1/2", "0.25"), ("-3", "1e1")]))
         assert fp.vertices == (complex(0.5, 0.25), complex(-3.0, 10.0))
 
     def test_float_overflow_rejected(self):
         with pytest.raises(PolygonDocumentError):
-            to_float_polygon([("1", "1e400")])
+            to_float_polygon(Polygon.from_coords([("1", "1e400")]))
 
 
 class TestIterateCommand:
@@ -176,6 +178,17 @@ class TestIterateCommand:
         assert data["mode"] == "float"
         assert data["polygons"][0][0] == ["0.5", "0.25"]
 
+    def test_float_mode_two_steps(self):
+        pairs = [("0", "0"), ("1", "0"), ("1/3", "0.7")]
+        code, text = cmd_iterate(pairs, 2, "float")
+        assert code == EXIT_OK
+        chain = [[complex(0.0, 0.0), complex(1.0, 0.0), complex(1 / 3, 0.7)]]
+        for _ in range(2):
+            q = chain[-1]
+            chain.append([0.5 * (q[k] + q[(k + 1) % 3]) for k in range(3)])
+        want = [[[f"{z.real:.17g}", f"{z.imag:.17g}"] for z in q] for q in chain]
+        assert json.loads(text)["polygons"] == want
+
     def test_exact_mode_rejects_decimal_document(self):
         with pytest.raises(ExactModeError):
             cmd_iterate([("0.5", "1")], 1, "exact")
@@ -213,15 +226,26 @@ class TestVerifyCommand:
 
 class TestFuzzCommand:
     def test_byte_determinism(self):
-        a = cmd_fuzz(42, 25, 9, 8)
-        b = cmd_fuzz(42, 25, 9, 8)
+        a = cmd_fuzz(FuzzConfig(42, 25, 9, 8))
+        b = cmd_fuzz(FuzzConfig(42, 25, 9, 8))
         assert a == b
         assert a[0] == EXIT_OK
         assert json.loads(a[1])["theorem_passes"] + json.loads(a[1])["insufficient_data"] == 25
 
     def test_zero_trials_rejected(self):
         with pytest.raises(ValueError):
-            cmd_fuzz(42, 0, 9, 8)
+            cmd_fuzz(FuzzConfig(42, 0, 9, 8))
+
+    def test_scaling_failure_recorded(self, monkeypatch):
+        import midpoly.verify
+
+        monkeypatch.setattr(midpoly.verify, "_z_scaling_holds", lambda xs, ys: False)
+        code, text = cmd_fuzz(FuzzConfig(seed=42, trials=5, coordinate_bound=9, steps=8))
+        assert code == EXIT_VIOLATION
+        data = json.loads(text)
+        assert data["z_scaling_failures"] == 5
+        assert data["first_failure"]["trial"] == 0
+        assert data["first_failure"]["reason"] == "moment scaling Z(Mv) != (3/8) Z(v) after projection"
 
 
 class TestPropositionCommand:
@@ -242,6 +266,20 @@ class TestPropositionCommand:
 
         with pytest.raises(UnsupportedSizeError):
             cmd_proposition(6, 10, 1e-9)
+
+    @pytest.mark.parametrize("tolerance", ["nan", "-1", "inf"])
+    def test_invalid_tolerance_exits_usage(self, tolerance, capsys):
+        assert main(["proposition", "7", "--tolerance", tolerance]) == EXIT_USAGE
+        captured = capsys.readouterr()
+        assert captured.out == ""
+        assert captured.err.startswith("midpoly: error: ")
+
+    def test_moment_underflow_exits_insufficient(self, capsys):
+        # the heptagon's slopes shrink by about 0.247 a step; Z underflows at step 363
+        assert main(["proposition", "7", "--steps", "364"]) == EXIT_INSUFFICIENT
+        captured = capsys.readouterr()
+        assert captured.out == ""
+        assert captured.err == "midpoly: insufficient data: moment Z underflows to zero at step 363\n"
 
 
 class TestFigure:
@@ -358,6 +396,33 @@ class TestMainEntry:
         assert captured.err.startswith("midpoly: error: ")
         assert captured.err.count("\n") == 1
         assert not out.exists()
+
+    def test_figure_flags(self, tmp_path, capsys):
+        hex_path = self.write(tmp_path, "hex.json", HEX_DOC)
+        out = tmp_path / "bare.svg"
+        argv = ["figure", hex_path, "--steps", "4", "--no-line", "--no-centroids",
+                "--width", "40", "--height", "30", "--output", str(out)]
+        assert main(argv) == EXIT_OK
+        svg = out.read_text()
+        assert svg.count("<polygon") == 5
+        assert svg.count("<line") == svg.count("<circle") == 0
+        assert 'width="40" height="30"' in svg
+
+    def test_verify_huge_coordinate_null_ratios(self, tmp_path, capsys):
+        vertices = [["1" + "0" * 400, "0"], ["1", "0"], ["1", "1"], ["0", "1"], ["-1", "1"], ["0", "2"]]
+        big = self.write(tmp_path, "big.json", {"vertices": vertices})
+        assert main(["verify", big, "--steps", "12"]) == EXIT_OK
+        data = json.loads(capsys.readouterr().out)
+        assert data["all_colinear"] is True
+        assert data["monotonicity"]["distance_ratios"] == [None] * 11
+
+    def test_verify_subnormal_distances_exit_ok(self, tmp_path, capsys):
+        # from iterate 511 on the squared distance to the limit is below the normal doubles
+        hex_path = self.write(tmp_path, "hex.json", HEX_DOC)
+        assert main(["verify", hex_path, "--steps", "538"]) == EXIT_OK
+        ratios = json.loads(capsys.readouterr().out)["monotonicity"]["distance_ratios"]
+        assert ratios[509:] == [None] * 28
+        assert all(abs(r - 0.5) <= 1e-9 for r in ratios[100:509])
 
     def test_fuzz_coincident_centroids_pass(self, capsys):
         # trial 161: G_1 == G_2 != limit, so the line runs from G_1 to the limit

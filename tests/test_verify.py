@@ -219,8 +219,7 @@ class TestLatticeKernel:
             diag = convergence_diagnostics(p, n)
         except InsufficientDataError:
             return
-        mono = diag.monotonicity
-        got = (mono.indices, mono.projections, mono.stable_from, mono.sign_changes,
+        got = (diag.indices, diag.projections, diag.stable_from, diag.sign_changes,
                diag.distance_ratios)
         assert got == reference_diagnostics(report)
 
@@ -470,18 +469,17 @@ class TestConvergenceDiagnostics:
     def test_same_sign_imbalances_never_flip(self):
         p = Polygon.from_coords(SAME_SIGN_IMBALANCE_HEX)
         diag = convergence_diagnostics(p, 40)
-        assert diag.monotonicity.sign_changes == 0
-        assert diag.monotonicity.stable_from == 1
+        assert diag.sign_changes == 0
+        assert diag.stable_from == 1
 
     def test_opposite_sign_imbalances_flip_once(self):
         p = Polygon.from_coords(OPPOSITE_SIGN_IMBALANCE_HEX)
         diag = convergence_diagnostics(p, 40)
-        mono = diag.monotonicity
-        assert mono.sign_changes == 1
+        assert diag.sign_changes == 1
         # monotone from stable_from onward: no difference sign flips after it
-        start = mono.indices.index(mono.stable_from)
+        start = diag.indices.index(diag.stable_from)
         diffs = [
-            b - a for a, b in zip(mono.projections[start:], mono.projections[start + 1 :])
+            b - a for a, b in zip(diag.projections[start:], diag.projections[start + 1 :])
         ]
         signs = {(-1 if d < 0 else 1) for d in diffs if d != 0.0}
         assert len(signs) <= 1
@@ -500,5 +498,5 @@ class TestConvergenceDiagnostics:
     def test_symmetric_hexagon_projects_to_zero(self):
         p = Polygon.from_coords(CENTRAL_SYMMETRIC_HEX)
         diag = convergence_diagnostics(p, 10)
-        assert all(t == 0.0 for t in diag.monotonicity.projections)
-        assert diag.monotonicity.sign_changes == 0
+        assert all(t == 0.0 for t in diag.projections)
+        assert diag.sign_changes == 0
