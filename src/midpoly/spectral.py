@@ -8,9 +8,14 @@ diagonal in mode coordinates: coefficient j just picks up a factor of
 the eigenvalue per step.
 
 The transform is computed by direct O(m^2) summation; desk scale here is
-m <= 64, where simplicity and accuracy beat speed. Conversion from the
-exact representation is explicit and one way: nothing in this package
-converts floats back to rationals.
+m <= 64, where simplicity and accuracy beat speed. Work in mode
+coordinates touches only a mode vector's support, the indices of its
+nonzero coefficients: the midpoint map keeps a zero mode zero, so an
+orbit keeps its support, and `z_from_modes` costs O(m + k^2) for k
+nonzero modes instead of O(m^2). Skipping a zero term leaves every sum
+bit-identical to the dense one, given finite coefficients whose products
+do not overflow. Conversion from the exact representation is explicit
+and one way: nothing in this package converts floats back to rationals.
 
 Default tolerances, used by callers and tests: 1e-12 absolute for
 round-trips and eigen-relations, 1e-9 relative (with a 1e-12 absolute
@@ -139,11 +144,17 @@ def reconstruct(mv: ModeVector) -> FloatPolygon:
 
 
 def advance_modes(mv: ModeVector, n: int) -> ModeVector:
-    """Apply n midpoint steps in mode coordinates: xi_j -> lambda_j^n xi_j."""
+    """Apply n midpoint steps in mode coordinates: xi_j -> lambda_j^n xi_j.
+
+    Zero coefficients pass through unchanged, so eigenvalues are computed
+    for the support only.
+    """
     if n < 0:
         raise ValueError("step count must be nonnegative")
     m = mv.m
-    return ModeVector(tuple(eigenvalue(m, j) ** n * c for j, c in enumerate(mv.coefficients)))
+    return ModeVector(
+        tuple(eigenvalue(m, j) ** n * c if c else c for j, c in enumerate(mv.coefficients))
+    )
 
 
 def z_from_modes(mv: ModeVector) -> complex:
@@ -152,17 +163,23 @@ def z_from_modes(mv: ModeVector) -> complex:
     Evaluates m * sum_{p,q} xi_p * conj(xi_q) * xi_{q-p} * Im(w^p + w^q)
     with the index q - p taken mod m. Agrees with the exact shoelace
     moment of the reconstructed polygon.
+
+    Only triples whose three indices p, q and q - p all lie in the
+    support (nonzero coefficients) are summed, in ascending (p, q) order:
+    O(m + k^2) for k nonzero modes, and bit-identical to the full m^2 sum
+    for finite coefficients whose products do not overflow.
     """
     m = mv.m
     xi = mv.coefficients
-    im_omega = [root_of_unity(m, j).imag for j in range(m)]
+    im_omega = {j: root_of_unity(m, j).imag for j, c in enumerate(xi) if c}  # keyed by the support
     total = 0j
-    for p in range(m):
-        for q in range(m):
+    for p in im_omega:
+        for q in im_omega:
+            r = (q - p) % m
             factor = im_omega[p] + im_omega[q]
-            if factor == 0.0:
+            if factor == 0.0 or r not in im_omega:
                 continue
-            total += xi[p] * xi[q].conjugate() * xi[(q - p) % m] * factor
+            total += xi[p] * xi[q].conjugate() * xi[r] * factor
     return m * total
 
 
@@ -172,11 +189,13 @@ def area_from_modes(mv: ModeVector) -> float:
     Only the diagonal terms of the quadratic expansion survive the sum
     over vertices. For hexagons this reads
     (3*sqrt(3)/2) * (|xi_1|^2 - |xi_5|^2 + |xi_2|^2 - |xi_4|^2).
+    Zero coefficients are skipped; coefficients are assumed finite.
     """
     m = mv.m
     total = 0.0
     for j, c in enumerate(mv.coefficients):
-        total += (c.real * c.real + c.imag * c.imag) * root_of_unity(m, j).imag
+        if c:
+            total += (c.real * c.real + c.imag * c.imag) * root_of_unity(m, j).imag
     return 0.5 * m * total
 
 

@@ -57,6 +57,10 @@ from .spectral import (
 
 RATIO_REL_TOL = 1e-9
 SLOPE_DISTINCT_TOL = 1e-12
+# Cost bounds of verify_proposition: each step builds an m-length mode
+# vector, and the pairwise slope check is quadratic in the step count.
+PROPOSITION_MAX_M = 4096
+PROPOSITION_MAX_STEPS = 2000
 
 
 class LineCheck(NamedTuple):
@@ -350,12 +354,17 @@ def verify_proposition(m: int, n: int, rel_tol: float = RATIO_REL_TOL) -> Counte
     Computes Z of each iterate in mode coordinates, forms the slope
     sequence s_0 .. s_n, and checks that every successive ratio matches
     the expected value within rel_tol and that all slopes are pairwise
-    distinct. rel_tol must be finite and nonnegative. Raises
+    distinct. rel_tol must be finite and nonnegative, m at most
+    PROPOSITION_MAX_M and n at most PROPOSITION_MAX_STEPS. Raises
     InsufficientDataError when a part of Z underflows to zero, since the
     slope is then undefined or meaningless.
     """
     if n < 3:
         raise ValueError("need at least three iterations")
+    if n > PROPOSITION_MAX_STEPS:
+        raise ValueError(f"at most {PROPOSITION_MAX_STEPS} iterations, got {n}")
+    if m > PROPOSITION_MAX_M:
+        raise ValueError(f"m must be at most {PROPOSITION_MAX_M}, got {m}")
     if not (math.isfinite(rel_tol) and rel_tol >= 0.0):
         raise ValueError(f"tolerance must be finite and nonnegative, got {rel_tol!r}")
     mv = counterexample_modes(m)
@@ -519,22 +528,24 @@ class ConvergenceDiagnostics:
     """Signed positions of the centroids along the line, and distance ratios.
 
     projections[i] is the parameter of centroid G_{indices[i]} along the
-    line direction, measured from the vertex centroid (the orbit limit).
-    sign_changes counts sign flips of that position sequence; the closed
-    form implies at most one. stable_from is the least listed index from
-    which consecutive projection differences keep a single sign through
-    the horizon ("eventually monotonic").
+    line direction, measured from the vertex centroid (the orbit limit);
+    None marks a nonzero parameter that is not a normal double (it
+    overflows, or falls under 2.2e-308 where it turns to rounding noise),
+    while an exact zero reads 0.0. sign_changes counts sign flips of that
+    position sequence, decided on the exact values; the closed form
+    implies at most one. stable_from is the least listed index from which
+    consecutive projection differences keep a single sign through the
+    horizon ("eventually monotonic").
 
     distance_ratios[i] is |G_{n+1} - limit| / |G_n - limit| for
     n = indices[i]; None marks a gap (non-consecutive defined iterates),
     a centroid sitting exactly on the limit, or a squared distance that
-    is not a normal double (it overflows, or falls under 2.2e-308 where
-    the ratio turns to rounding noise). The ratios approach 1/2 whenever
-    the leading mode imbalance |xi_1|^2 - |xi_5|^2 is nonzero.
+    is not a normal double. The ratios approach 1/2 whenever the leading
+    mode imbalance |xi_1|^2 - |xi_5|^2 is nonzero.
     """
 
     indices: tuple[int, ...]
-    projections: tuple[float, ...]
+    projections: tuple[float | None, ...]
     stable_from: int | None
     sign_changes: int
     distance_ratios: tuple[float | None, ...]
@@ -545,12 +556,14 @@ def _sign(x: int) -> int:
 
 
 def _normal_quotient(num: int, den: int) -> float | None:
-    """num / den correctly rounded, or None unless it is a normal double."""
+    """num / den correctly rounded: 0.0 when num is 0, else None unless a normal double."""
+    if num == 0:
+        return 0.0
     try:
         q = num / den
     except OverflowError:
         return None
-    return q if q >= sys.float_info.min else None
+    return q if abs(q) >= sys.float_info.min else None
 
 
 def convergence_diagnostics(p: Polygon, n: int) -> ConvergenceDiagnostics:
@@ -565,7 +578,8 @@ def diagnostics_from_report(report: ColinearityReport) -> ConvergenceDiagnostics
     """Projection and distance-ratio diagnostics from a finished theorem check.
 
     Every value starts as an exact ratio of integers: signs are decided
-    on those, and each reported float is the correctly rounded quotient.
+    on those, and each reported float is the correctly rounded quotient,
+    or None where that is not a normal double.
     Requires at least three defined centroids past the first iterate.
     """
     lx, ly, lw = to_homogeneous(report.limit_point)
@@ -606,13 +620,13 @@ def diagnostics_from_report(report: ColinearityReport) -> ConvergenceDiagnostics
 
     dist2 = [_normal_quotient(ox * ox + oy * oy, ow * ow) for ox, oy, ow in offsets]
     ratios = [
-        None if kb != ka + 1 or a2 is None or b2 is None else math.sqrt(b2) / math.sqrt(a2)
+        None if kb != ka + 1 or not a2 or not b2 else math.sqrt(b2) / math.sqrt(a2)
         for (ka, _), (kb, _), a2, b2 in zip(defined, defined[1:], dist2, dist2[1:])
     ]
 
     return ConvergenceDiagnostics(
         indices=indices,
-        projections=tuple(num / den for num, den in params),
+        projections=tuple(_normal_quotient(num, den) for num, den in params),
         stable_from=stable_from,
         sign_changes=sign_changes,
         distance_ratios=tuple(ratios),

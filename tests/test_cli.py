@@ -3,6 +3,7 @@
 import hashlib
 import json
 import re
+import sys
 
 import pytest
 
@@ -30,7 +31,7 @@ from midpoly.errors import (
 )
 from midpoly.exact_poly import Polygon
 from midpoly.spectral import to_float_polygon
-from midpoly.verify import FuzzConfig
+from midpoly.verify import PROPOSITION_MAX_M, PROPOSITION_MAX_STEPS, FuzzConfig
 
 HEX_DOC = {
     "schema": "polygon/1",
@@ -53,6 +54,11 @@ L_HEX_DOC = {
 # Reports of the Fraction-based implementation that the integer-lattice
 # kernel replaced; the kernel must reproduce them byte for byte.
 VERIFY_HEX_200_SHA256 = "c607ac1ffc1aae1e38ba85cd1828cf045cc5078152922d0d5ccf650da697ed60"
+# Reports of the dense mode sums that the support-only sums replaced.
+PROPOSITION_SHA256 = {
+    "64": "4f20efd663d9d93143611584aedfc4f5891cdaae2d4532d98ccdf05c772bdfb8",
+    "7": "0b32af5ec344353dfb3e19a1f186b1b38febccecdff52261c760b57f1e635835",
+}
 FUZZ_SEED_42_REPORT = """\
 {
   "coordinate_bound": 9,
@@ -281,6 +287,27 @@ class TestPropositionCommand:
         assert captured.out == ""
         assert captured.err == "midpoly: insufficient data: moment Z underflows to zero at step 363\n"
 
+    @pytest.mark.parametrize("m", sorted(PROPOSITION_SHA256))
+    def test_bytes_unchanged(self, m, capsys):
+        assert main(["proposition", m, "--steps", "10"]) == EXIT_OK
+        out = capsys.readouterr().out.encode("utf-8")
+        assert hashlib.sha256(out).hexdigest() == PROPOSITION_SHA256[m]
+
+    @pytest.mark.parametrize(
+        "argv, message",
+        [
+            ([str(PROPOSITION_MAX_M + 1)], f"m must be at most {PROPOSITION_MAX_M}, got {PROPOSITION_MAX_M + 1}"),
+            (["7", "--steps", str(PROPOSITION_MAX_STEPS + 1)],
+             f"at most {PROPOSITION_MAX_STEPS} iterations, got {PROPOSITION_MAX_STEPS + 1}"),
+        ],
+        ids=["m", "steps"],
+    )
+    def test_cost_limits_exit_usage(self, argv, message, capsys):
+        assert main(["proposition", *argv]) == EXIT_USAGE
+        captured = capsys.readouterr()
+        assert captured.out == ""
+        assert captured.err == f"midpoly: error: {message}\n"
+
 
 class TestFigure:
     def test_element_counts(self):
@@ -423,6 +450,17 @@ class TestMainEntry:
         ratios = json.loads(capsys.readouterr().out)["monotonicity"]["distance_ratios"]
         assert ratios[509:] == [None] * 28
         assert all(abs(r - 0.5) <= 1e-9 for r in ratios[100:509])
+
+    def test_verify_subnormal_projections_null(self, tmp_path, capsys):
+        # from iterate 1025 on the projection is below the normal doubles, -0.0 at 1099 and 1100
+        hex_path = self.write(tmp_path, "hex.json", HEX_DOC)
+        assert main(["verify", hex_path, "--steps", "1100"]) == EXIT_OK
+        mono = json.loads(capsys.readouterr().out)["monotonicity"]
+        assert mono["indices"] == list(range(1, 1101))
+        projections = mono["projections"]
+        assert projections[1024:] == [None] * 76
+        assert all(p <= -sys.float_info.min for p in projections[:1024])
+        assert mono["sign_changes"] == 0
 
     def test_fuzz_coincident_centroids_pass(self, capsys):
         # trial 161: G_1 == G_2 != limit, so the line runs from G_1 to the limit

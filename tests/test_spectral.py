@@ -28,7 +28,8 @@ from midpoly import (
     z_from_modes,
     z_moment,
 )
-from midpoly import spectral
+from midpoly import spectral, verify
+from oracles import dense_advance_modes, dense_area_from_modes, dense_z_from_modes
 
 SQRT3 = math.sqrt(3.0)
 
@@ -41,6 +42,19 @@ def dyadic_hexagon(rng: random.Random) -> Polygon:
 
 
 float_coords = st.floats(min_value=-10.0, max_value=10.0, allow_nan=False)
+# zero coefficients, signed zeros included, mixed with bounded nonzero ones
+sparse_coefficients = st.one_of(
+    st.sampled_from([0j, complex(-0.0, 0.0), complex(0.0, -0.0), complex(-0.0, -0.0)]),
+    st.builds(complex, float_coords, float_coords),
+)
+
+
+def sparse_mode_vectors(min_m: int = 3, max_m: int = 40):
+    return st.integers(min_value=min_m, max_value=max_m).flatmap(
+        lambda m: st.lists(sparse_coefficients, min_size=m, max_size=m).map(
+            lambda xi: ModeVector(tuple(xi))
+        )
+    )
 
 
 def float_polygons(max_m: int = 16):
@@ -307,3 +321,33 @@ class TestTripleProduct:
             mu = triple_product(m, 1, 2)
             nu = triple_product(m, 1, 3)
             assert abs(nu / mu - (2 * math.cos(2 * math.pi / m) - 1)) <= 1e-12
+
+
+class TestSparseSupport:
+    """The mode sums visit only nonzero modes and match the dense sums bit for bit."""
+
+    @settings(max_examples=300, deadline=None)
+    @given(sparse_mode_vectors(), st.integers(min_value=0, max_value=300))
+    def test_matches_dense_sums(self, mv, n):
+        advanced = advance_modes(mv, n)
+        assert advanced == dense_advance_modes(mv, n)
+        for v in (mv, advanced):
+            assert z_from_modes(v) == dense_z_from_modes(v)
+            assert area_from_modes(v) == dense_area_from_modes(v)
+
+    def test_zero_modes_pass_through(self):
+        # signed zeros included: a zero mode is returned as it came in
+        mv = ModeVector((0j, complex(-0.0, 0.0), 1 + 1j, complex(0.0, -0.0)))
+        advanced = advance_modes(mv, 5)
+        zeros = (0, 1, 3)
+        assert [repr(advanced[j]) for j in zeros] == [repr(mv[j]) for j in zeros]
+
+    def test_roots_only_on_support(self, monkeypatch):
+        m = 64
+        mv = verify.counterexample_modes(m)  # modes 1, 2 and 3 are live
+        expected = (dense_z_from_modes(mv), dense_area_from_modes(mv), dense_advance_modes(mv, 10))
+        calls = []
+        exp = cmath.exp
+        monkeypatch.setattr(cmath, "exp", lambda z: calls.append(z) or exp(z))
+        assert (z_from_modes(mv), area_from_modes(mv), advance_modes(mv, 10)) == expected
+        assert len(calls) == 9

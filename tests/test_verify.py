@@ -500,3 +500,8 @@ class TestConvergenceDiagnostics:
         diag = convergence_diagnostics(p, 10)
         assert all(t == 0.0 for t in diag.projections)
         assert diag.sign_changes == 0
+
+    def test_exact_zero_projection_is_positive_zero(self):
+        # an exact zero prints 0.0, never null or -0.0
+        diag = convergence_diagnostics(Polygon.from_coords(CENTRAL_SYMMETRIC_HEX), 10)
+        assert [math.copysign(1.0, t) for t in diag.projections] == [1.0] * 10
