@@ -19,7 +19,6 @@ from .errors import (
 from .exact_poly import (
     PlanePoint,
     Polygon,
-    RationalScalar,
     centroid,
     iterate,
     midpoint_map,
@@ -80,7 +79,6 @@ __all__ = [
     "PlanePoint",
     "Polygon",
     "PolygonDocumentError",
-    "RationalScalar",
     "UnsupportedSizeError",
     "WrongSizeError",
     "advance_modes",

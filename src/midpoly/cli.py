@@ -84,6 +84,8 @@ def parse_polygon_document(text: str) -> list[tuple[str, str]]:
         data = json.loads(text)
     except json.JSONDecodeError as exc:
         raise PolygonDocumentError(f"invalid JSON: {exc}") from exc
+    except RecursionError:
+        raise PolygonDocumentError("invalid JSON: nested too deeply") from None
     if not isinstance(data, dict) or "vertices" not in data:
         raise PolygonDocumentError('document must be an object with a "vertices" list')
     raw = data["vertices"]
@@ -128,6 +130,20 @@ def to_exact_polygon(pairs: list[tuple[str, str]]) -> Polygon:
     return Polygon.from_coords(coords)
 
 
+def _float_coordinate(token: str) -> float:
+    """As float(Fraction(token)), but a decimal costs the same whatever its exponent."""
+    try:
+        if _classify(token) != "decimal":
+            return float(Fraction(token))
+        value = float(token)
+    except OverflowError:
+        value = math.inf
+    if math.isinf(value):
+        raise PolygonDocumentError("coordinate out of float range")
+    # float("-0.0") is -0.0, a Fraction zero +0.0; an underflow keeps its sign either way
+    return value if value or Fraction(_DECIMAL_RE.match(token).group(1)) else 0.0
+
+
 def _dumps(payload) -> str:
     return json.dumps(payload, indent=2, sort_keys=True) + "\n"
 
@@ -155,7 +171,7 @@ def cmd_iterate(pairs: list[tuple[str, str]], steps: int, mode: str) -> tuple[in
         seq = iterate(to_exact_polygon(pairs), steps)
         polys = [[[str(v.x), str(v.y)] for v in q] for q in seq]
     else:
-        current = spectral.to_float_polygon(Polygon.from_coords(pairs))
+        current = spectral.FloatPolygon(tuple(complex(*map(_float_coordinate, pair)) for pair in pairs))
         chain = [current]
         for _ in range(steps):
             current = spectral.midpoint_map(current)

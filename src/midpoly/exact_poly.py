@@ -1,15 +1,16 @@
-"""Exact rational polygons and the midpoint iteration.
+"""Exact rational polygons and the midpoint iteration, on one integer kernel.
 
-Two exact representations share this module. The public one keeps
-coordinates as arbitrary-precision rationals (`Fraction`), so midpoints,
-areas, moments and centroids come out without any rounding. The lattice
-one serves the verifier's hot path and never builds a rational: a polygon
-is scaled once by L, the least common multiple of its coordinate
-denominators, onto integer vertices W_0. The midpoint map only divides by
-two, so the n-th iterate is the integer polygon W_n over L * 2^n, with
-W_n[k] = W_{n-1}[k] + W_{n-1}[k+1]. Twice the area and the moment Z of
-W_n are integer shoelace sums, and a centroid is the homogeneous integer
-triple (Zx, Zy, 3 * A2 * L * 2^n), i.e. the point (Zx / w, Zy / w).
+Coordinates are arbitrary-precision rationals (`Fraction`), so midpoints,
+areas, moments and centroids come out without any rounding. Every
+operation computes on integers and builds a `Fraction` only for the value
+it returns. A polygon is scaled once by L, the least common multiple of
+its coordinate denominators, onto integer vertices W_0. The midpoint map
+only divides by two, so the n-th iterate is the integer polygon W_n over
+L * 2^n, with W_n[k] = W_{n-1}[k] + W_{n-1}[k+1]. Twice the area A2 and
+the moment Z of W_n are integer shoelace sums: the polygon W / L has
+signed area A2 / (2 L^2) and moment Z / L^3, and its centroid is the
+homogeneous integer triple (Zx, Zy, 3 * A2 * L), i.e. the point
+(Zx / w, Zy / w). The verifier works on these integers directly.
 
 All values are immutable and all operations are pure functions, so callers
 may copy them freely and parallelize over independent polygons.
@@ -23,10 +24,6 @@ from fractions import Fraction
 from typing import Iterable, Sequence
 
 from .errors import AreaZeroError, WrongSizeError
-
-# The coordinate field. Stored in lowest terms with a positive denominator,
-# closed under +, -, *, and / by nonzero values.
-RationalScalar = Fraction
 
 # A point (x / w, y / w) of the plane as integers with w != 0. A triple with
 # w == 0 stands for the direction (x, y) instead, the point at infinity.
@@ -130,19 +127,19 @@ def midpoint_map(p: Polygon) -> Polygon:
     Vertex k of the result is the exact average of vertices k and k+1
     (indices mod m). This is a linear map on the space of m-gons.
     """
-    verts = p.vertices
-    m = len(verts)
-    half = Fraction(1, 2)
-    return Polygon(tuple((verts[k] + verts[(k + 1) % m]).scaled(half) for k in range(m)))
+    scale, xs, ys = to_lattice(p)
+    return _from_lattice(2 * scale, lattice_step(xs), lattice_step(ys))
 
 
 def iterate(p: Polygon, n: int) -> list[Polygon]:
     """Return [p, Mp, M^2 p, ..., M^n p], all exact."""
     if n < 0:
         raise ValueError("iteration count must be nonnegative")
+    scale, xs, ys = to_lattice(p)
     out = [p]
-    for _ in range(n):
-        out.append(midpoint_map(out[-1]))
+    for s in range(1, n + 1):
+        xs, ys = lattice_step(xs), lattice_step(ys)
+        out.append(_from_lattice(scale << s, xs, ys))
     return out
 
 
@@ -152,12 +149,9 @@ def signed_area(p: Polygon) -> Fraction:
     The sign follows orientation; zero is a legal return value. For m <= 2
     the sum is identically zero.
     """
-    verts = p.vertices
-    m = len(verts)
-    total = Fraction(0)
-    for k in range(m):
-        total += verts[k].cross(verts[(k + 1) % m])
-    return total / 2
+    scale, xs, ys = to_lattice(p)
+    a2, _, _ = lattice_moments(xs, ys)
+    return Fraction(a2, 2 * scale * scale)
 
 
 def z_moment(p: Polygon) -> PlanePoint:
@@ -166,17 +160,9 @@ def z_moment(p: Polygon) -> PlanePoint:
     Equals six times the signed area times the centroid whenever the area
     is nonzero.
     """
-    verts = p.vertices
-    m = len(verts)
-    zx = Fraction(0)
-    zy = Fraction(0)
-    for k in range(m):
-        a = verts[k]
-        b = verts[(k + 1) % m]
-        c = a.cross(b)
-        zx += (a.x + b.x) * c
-        zy += (a.y + b.y) * c
-    return PlanePoint(zx, zy)
+    scale, xs, ys = to_lattice(p)
+    _, zx, zy = lattice_moments(xs, ys)
+    return PlanePoint(Fraction(zx, scale**3), Fraction(zy, scale**3))
 
 
 def centroid(p: Polygon) -> PlanePoint:
@@ -188,20 +174,16 @@ def centroid(p: Polygon) -> PlanePoint:
     Raises AreaZeroError when the signed area vanishes; batch callers
     should record the iterate as undefined rather than abort.
     """
-    area = signed_area(p)
-    if area == 0:
+    g = lattice_centroids(*to_lattice(p), 0)[0]
+    if g is None:
         raise AreaZeroError("zero signed area: centroid undefined")
-    z = z_moment(p)
-    return PlanePoint(z.x / (6 * area), z.y / (6 * area))
+    return from_homogeneous(g)
 
 
 def vertex_centroid(p: Polygon) -> PlanePoint:
     """The arithmetic mean of the vertices. Invariant under midpoint_map."""
-    verts = p.vertices
-    m = len(verts)
-    sx = sum(v.x for v in verts)
-    sy = sum(v.y for v in verts)
-    return PlanePoint(Fraction(sx, m), Fraction(sy, m))
+    scale, xs, ys = to_lattice(p)
+    return from_homogeneous((sum(xs), sum(ys), len(xs) * scale))
 
 
 def project_out_modes_0_3(p: Polygon) -> Polygon:
@@ -215,19 +197,8 @@ def project_out_modes_0_3(p: Polygon) -> Polygon:
     """
     if len(p) != 6:
         raise WrongSizeError(f"projection requires a hexagon, got {len(p)} vertices")
-    mean = vertex_centroid(p)
-    ax = Fraction(0)
-    ay = Fraction(0)
-    for k, v in enumerate(p.vertices):
-        sign = 1 if k % 2 == 0 else -1
-        ax += sign * v.x
-        ay += sign * v.y
-    alt = PlanePoint(ax / 6, ay / 6)
-    out = []
-    for k, v in enumerate(p.vertices):
-        sign = 1 if k % 2 == 0 else -1
-        out.append(v - mean - alt.scaled(sign))
-    return Polygon(tuple(out))
+    scale, xs, ys = to_lattice(p)
+    return _from_lattice(6 * scale, lattice_projection(xs), lattice_projection(ys))
 
 
 def to_lattice(p: Polygon) -> tuple[int, list[int], list[int]]:
@@ -275,6 +246,22 @@ def lattice_centroids(
         if s < n:
             xs, ys = lattice_step(xs), lattice_step(ys)
     return out
+
+
+def lattice_projection(values: Sequence[int]) -> list[int]:
+    """One coordinate of six times the mode-0/3 projection of an integer hexagon.
+
+    Entry k is 6 v_k - sum_j v_j - (-1)^k sum_j (-1)^j v_j, an integer.
+    """
+    total = sum(values)
+    alternating = sum(values[0::2]) - sum(values[1::2])
+    return [6 * v - total - (alternating if k % 2 == 0 else -alternating)
+            for k, v in enumerate(values)]
+
+
+def _from_lattice(scale: int, xs: Sequence[int], ys: Sequence[int]) -> Polygon:
+    """The rational polygon (xs, ys) / scale."""
+    return Polygon(tuple(PlanePoint(Fraction(x, scale), Fraction(y, scale)) for x, y in zip(xs, ys)))
 
 
 def from_homogeneous(h: Homogeneous) -> PlanePoint:

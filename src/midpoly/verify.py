@@ -40,6 +40,7 @@ from .exact_poly import (
     from_homogeneous,
     lattice_centroids,
     lattice_moments,
+    lattice_projection,
     lattice_step,
     to_homogeneous,
     to_lattice,
@@ -61,6 +62,8 @@ SLOPE_DISTINCT_TOL = 1e-12
 # vector, and the pairwise slope check is quadratic in the step count.
 PROPOSITION_MAX_M = 4096
 PROPOSITION_MAX_STEPS = 2000
+# verify_hexagon_theorem's iterate n has numbers of about 2.6 n bits.
+VERIFY_MAX_STEPS = 2000
 
 
 class LineCheck(NamedTuple):
@@ -220,13 +223,16 @@ def verify_hexagon_theorem(p: Polygon, n: int) -> ColinearityReport:
 
     Also records whether the excluded initial centroid happens to lie on
     that line and whether the limit of the orbit, the vertex centroid,
-    lies on it (it must). Raises InsufficientDataError when fewer than
-    two centroids past the first iterate are defined.
+    lies on it (it must). n is at most VERIFY_MAX_STEPS. Raises
+    InsufficientDataError when fewer than two centroids past the first
+    iterate are defined.
     """
     if len(p) != 6:
         raise WrongSizeError(f"expected a hexagon, got {len(p)} vertices")
     if n < 1:
         raise ValueError("need at least one iteration")
+    if n > VERIFY_MAX_STEPS:
+        raise ValueError(f"at most {VERIFY_MAX_STEPS} iterations, got {n}")
     scale, xs, ys = to_lattice(p)
     centroids = lattice_centroids(scale, xs, ys, n)
     limit = (sum(xs), sum(ys), 6 * scale)
@@ -249,17 +255,11 @@ def verify_hexagon_theorem(p: Polygon, n: int) -> ColinearityReport:
 def _z_scaling_holds(xs: Sequence[int], ys: Sequence[int]) -> bool:
     """Z(Mv) = (3/8) Z(v) for the integer hexagon v after projecting out modes 0 and 3.
 
-    Works on R = 6 v - sum(v) - (-1)^k sum((-1)^j v_j), six times the
-    projection, which keeps it integer. As Z is cubic and R + shift(R) is
-    2 M R, the identity reads Z(R + shift(R)) = 3 Z(R).
+    Works on R, six times the projection (`lattice_projection`), which
+    keeps it integer. As Z is cubic and R + shift(R) is 2 M R, the
+    identity reads Z(R + shift(R)) = 3 Z(R).
     """
-    reduced = []
-    for values in (xs, ys):
-        total = sum(values)
-        alternating = sum(values[0::2]) - sum(values[1::2])
-        reduced.append([6 * v - total - (alternating if k % 2 == 0 else -alternating)
-                        for k, v in enumerate(values)])
-    rx, ry = reduced
+    rx, ry = lattice_projection(xs), lattice_projection(ys)
     _, zx, zy = lattice_moments(rx, ry)
     _, zx1, zy1 = lattice_moments(lattice_step(rx), lattice_step(ry))
     return zx1 == 3 * zx and zy1 == 3 * zy
@@ -289,11 +289,8 @@ def verify_small_m_invariance(p: Polygon, n: int) -> bool:
     required = seq[start:]
     if any(g is None for g in required):
         raise AreaZeroError(f"zero-area iterate among steps {start}..{n}")
-    if m == 3:
-        target = vertex_centroid(p)
-        return all(g == target for g in required)
-    first = required[0]
-    return all(g == first for g in required)
+    target = vertex_centroid(p) if m == 3 else required[0]
+    return all(g == target for g in required)
 
 
 def counterexample_modes(m: int) -> ModeVector:

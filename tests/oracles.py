@@ -1,14 +1,15 @@
 """Independent oracles used by the test suite.
 
 These deliberately avoid the code paths they check: the centroid oracle
-uses a triangle-fan decomposition instead of the shoelace sums, and the
-dense mode sums visit every mode where the spectral layer visits only
-the nonzero ones.
+uses a triangle-fan decomposition instead of the shoelace sums, the
+Fraction loops compute on rationals where `exact_poly` computes on the
+integer lattice, and the dense mode sums visit every mode where the
+spectral layer visits only the nonzero ones.
 """
 
 from fractions import Fraction as F
 
-from midpoly import ModeVector, PlanePoint, Polygon, eigenvalue, root_of_unity
+from midpoly import AreaZeroError, ModeVector, PlanePoint, Polygon, eigenvalue, root_of_unity
 
 
 def fan_centroid(p: Polygon) -> PlanePoint:
@@ -30,6 +31,86 @@ def fan_centroid(p: Polygon) -> PlanePoint:
         sy += area * (v0.y + a.y + b.y) / 3
     assert total != 0
     return PlanePoint(sx / total, sy / total)
+
+
+def fraction_midpoint_map(p: Polygon) -> Polygon:
+    """Vertex k is (v_k + v_{k+1}) / 2, averaged in Fractions."""
+    verts = p.vertices
+    m = len(verts)
+    half = F(1, 2)
+    return Polygon(tuple((verts[k] + verts[(k + 1) % m]).scaled(half) for k in range(m)))
+
+
+def fraction_iterate(p: Polygon, n: int) -> list[Polygon]:
+    """[p, Mp, ..., M^n p] by repeated Fraction midpoint maps."""
+    out = [p]
+    for _ in range(n):
+        out.append(fraction_midpoint_map(out[-1]))
+    return out
+
+
+def fraction_signed_area(p: Polygon) -> F:
+    """Shoelace signed area, accumulated in Fractions."""
+    verts = p.vertices
+    m = len(verts)
+    total = F(0)
+    for k in range(m):
+        total += verts[k].cross(verts[(k + 1) % m])
+    return total / 2
+
+
+def fraction_z_moment(p: Polygon) -> PlanePoint:
+    """sum_k (v_k + v_{k+1}) * cross(v_k, v_{k+1}), accumulated in Fractions."""
+    verts = p.vertices
+    m = len(verts)
+    zx = F(0)
+    zy = F(0)
+    for k in range(m):
+        a = verts[k]
+        b = verts[(k + 1) % m]
+        c = a.cross(b)
+        zx += (a.x + b.x) * c
+        zy += (a.y + b.y) * c
+    return PlanePoint(zx, zy)
+
+
+def fraction_centroid(p: Polygon) -> PlanePoint:
+    """Z / (6 A) from the Fraction sums; AreaZeroError when A = 0."""
+    area = fraction_signed_area(p)
+    if area == 0:
+        raise AreaZeroError("zero signed area: centroid undefined")
+    z = fraction_z_moment(p)
+    return PlanePoint(z.x / (6 * area), z.y / (6 * area))
+
+
+def fraction_centroid_or_none(p: Polygon) -> PlanePoint | None:
+    try:
+        return fraction_centroid(p)
+    except AreaZeroError:
+        return None
+
+
+def fraction_vertex_centroid(p: Polygon) -> PlanePoint:
+    """The vertex mean, summed in Fractions."""
+    m = len(p)
+    return PlanePoint(sum(v.x for v in p) / m, sum(v.y for v in p) / m)
+
+
+def fraction_project_out_modes_0_3(p: Polygon) -> Polygon:
+    """v_k - mean - (-1)^k alt / 6, with alt = sum_k (-1)^k v_k, in Fractions."""
+    mean = fraction_vertex_centroid(p)
+    ax = F(0)
+    ay = F(0)
+    for k, v in enumerate(p.vertices):
+        sign = 1 if k % 2 == 0 else -1
+        ax += sign * v.x
+        ay += sign * v.y
+    alt = PlanePoint(ax / 6, ay / 6)
+    out = []
+    for k, v in enumerate(p.vertices):
+        sign = 1 if k % 2 == 0 else -1
+        out.append(v - mean - alt.scaled(sign))
+    return Polygon(tuple(out))
 
 
 def dense_z_from_modes(mv: ModeVector) -> complex:

@@ -4,8 +4,15 @@ import hashlib
 import json
 import re
 import sys
+import tempfile
+import time
+from contextlib import redirect_stderr, redirect_stdout
+from io import StringIO
+from pathlib import Path
 
 import pytest
+from hypothesis import HealthCheck, example, given, settings
+from hypothesis import strategies as st
 
 from midpoly.cli import (
     EXIT_INSUFFICIENT,
@@ -31,7 +38,7 @@ from midpoly.errors import (
 )
 from midpoly.exact_poly import Polygon
 from midpoly.spectral import to_float_polygon
-from midpoly.verify import PROPOSITION_MAX_M, PROPOSITION_MAX_STEPS, FuzzConfig
+from midpoly.verify import PROPOSITION_MAX_M, PROPOSITION_MAX_STEPS, VERIFY_MAX_STEPS, FuzzConfig
 
 HEX_DOC = {
     "schema": "polygon/1",
@@ -54,6 +61,10 @@ L_HEX_DOC = {
 # Reports of the Fraction-based implementation that the integer-lattice
 # kernel replaced; the kernel must reproduce them byte for byte.
 VERIFY_HEX_200_SHA256 = "c607ac1ffc1aae1e38ba85cd1828cf045cc5078152922d0d5ccf650da697ed60"
+# `iterate --steps 30` and the default `figure` of the Fraction-loop
+# midpoint map, shoelace sums and centroid, which the lattice kernel replaced.
+ITERATE_HEX_30_SHA256 = "7845dfdab0b13fe53ec7f7efc58ab4813accd253c7f48155430432cdcc78a009"
+FIGURE_HEX_SHA256 = "0528ad5898ee8f0ef27aecdd21ca0798cfef742c5c4fc0743927b3610d2148e5"
 # Reports of the dense mode sums that the support-only sums replaced.
 PROPOSITION_SHA256 = {
     "64": "4f20efd663d9d93143611584aedfc4f5891cdaae2d4532d98ccdf05c772bdfb8",
@@ -77,6 +88,9 @@ FUZZ_SEED_42_REPORT = """\
   "z_scaling_passes": 1000
 }
 """
+
+# Nested far past the recursion limit of the JSON decoder.
+DEEP_DOCUMENT = '{"vertices": ' + "[" * 200_000 + "]" * 200_000 + "}"
 
 
 def doc(payload) -> list[tuple[str, str]]:
@@ -483,6 +497,53 @@ class TestMainEntry:
         out = capsys.readouterr().out.encode("utf-8")
         assert hashlib.sha256(out).hexdigest() == VERIFY_HEX_200_SHA256
 
+    def test_iterate_bytes_unchanged_at_30_steps(self, tmp_path, capsys):
+        hex_path = self.write(tmp_path, "hex.json", HEX_DOC)
+        assert main(["iterate", hex_path, "--steps", "30"]) == EXIT_OK
+        out = capsys.readouterr().out.encode("utf-8")
+        assert hashlib.sha256(out).hexdigest() == ITERATE_HEX_30_SHA256
+
+    def test_figure_bytes_unchanged(self, tmp_path, capsys):
+        hex_path = self.write(tmp_path, "hex.json", HEX_DOC)
+        out = tmp_path / "hex.svg"
+        assert main(["figure", hex_path, "--output", str(out)]) == EXIT_OK
+        assert hashlib.sha256(out.read_bytes()).hexdigest() == FIGURE_HEX_SHA256
+
+    def test_verify_steps_limit_exits_usage(self, tmp_path, capsys):
+        hex_path = self.write(tmp_path, "hex.json", HEX_DOC)
+        assert main(["verify", hex_path, "--steps", str(VERIFY_MAX_STEPS + 1)]) == EXIT_USAGE
+        captured = capsys.readouterr()
+        assert captured.out == ""
+        assert captured.err == (
+            f"midpoly: error: at most {VERIFY_MAX_STEPS} iterations, got {VERIFY_MAX_STEPS + 1}\n"
+        )
+
+    @pytest.mark.parametrize("command", ["verify", "iterate"])
+    def test_deeply_nested_document_exits_usage(self, command, tmp_path, capsys):
+        path = tmp_path / "deep.json"
+        path.write_text(DEEP_DOCUMENT, encoding="utf-8")
+        assert main([command, str(path)]) == EXIT_USAGE
+        captured = capsys.readouterr()
+        assert captured.out == ""
+        assert captured.err == "midpoly: error: invalid JSON: nested too deeply\n"
+
+    def test_float_huge_exponent_exits_usage_at_once(self, tmp_path, capsys):
+        path = self.write(tmp_path, "exp.json", {"vertices": [["1e10000000", "0"], ["1", "0"]]})
+        start = time.perf_counter()
+        code = main(["iterate", path, "--mode", "float"])
+        elapsed = time.perf_counter() - start
+        assert code == EXIT_USAGE
+        assert capsys.readouterr().err == "midpoly: error: coordinate out of float range\n"
+        assert elapsed < 1.0
+
+    @pytest.mark.parametrize("token, printed", [("-0.0", "0"), ("-1e-400", "-0")])
+    def test_float_sign_of_zero(self, token, printed, tmp_path, capsys):
+        # an exact zero is +0.0, a nonzero decimal that underflows keeps its sign
+        path = self.write(tmp_path, "zero.json", {"vertices": [[token, "1"], ["2", token]]})
+        assert main(["iterate", path, "--mode", "float", "--steps", "0"]) == EXIT_OK
+        polygons = json.loads(capsys.readouterr().out)["polygons"]
+        assert polygons == [[[printed, "1"], ["2", printed]]]
+
     def test_fuzz_bytes_unchanged(self, capsys):
         assert main(["fuzz", "--seed", "42", "--trials", "1000"]) == EXIT_OK
         assert capsys.readouterr().out == FUZZ_SEED_42_REPORT
@@ -511,3 +572,92 @@ class TestMainEntry:
         assert main(["iterate", sq, "--steps", "1", "--output", str(out)]) == EXIT_OK
         capsys.readouterr()
         assert json.loads(out.read_text())["steps"] == 1
+
+
+DOC, OUT = "<doc>", "<out>"
+
+exact_tokens = st.one_of(
+    st.integers(-(10**6), 10**6).map(str),
+    st.builds("{}/{}".format, st.integers(-50, 50), st.integers(1, 20)),
+)
+coordinate_tokens = st.one_of(
+    exact_tokens,
+    st.builds("{}/0".format, st.integers(-3, 3)),
+    st.from_regex(r"[+-]?(\d{1,4}\.\d{0,4}|\.\d{1,4}|\d{1,4})([eE][+-]?\d{1,8})?", fullmatch=True),
+    st.text(max_size=6),
+)
+json_values = st.recursive(
+    st.none() | st.booleans() | st.integers() | st.floats() | coordinate_tokens,
+    lambda inner: st.lists(inner, max_size=4) | st.dictionaries(st.text(max_size=8), inner, max_size=4),
+    max_leaves=12,
+)
+polygon_documents = st.builds(
+    lambda vertices: {"schema": "polygon/1", "vertices": vertices},
+    st.one_of(
+        st.lists(st.tuples(exact_tokens, exact_tokens).map(list), min_size=6, max_size=6),
+        st.lists(st.tuples(coordinate_tokens, coordinate_tokens).map(list), min_size=1, max_size=8),
+        st.lists(json_values, max_size=4),
+    ),
+)
+documents = st.one_of(
+    polygon_documents.map(json.dumps),
+    json_values.map(json.dumps),
+    st.text(alphabet=st.characters(blacklist_categories=("Cs",)), max_size=40),
+)
+
+small_ints = st.integers(-3, 12).map(str)
+# every option a command takes, with values small enough to keep each run short;
+# the bounded options also get the first value past their limit
+options = {
+    "iterate": {"--steps": small_ints, "--mode": st.sampled_from(["exact", "float", "x"])},
+    "verify": {"--steps": small_ints | st.just(str(VERIFY_MAX_STEPS + 1))},
+    "fuzz": {"--seed": small_ints, "--bound": small_ints, "--steps": small_ints},
+    "proposition": {
+        "--steps": small_ints | st.just(str(PROPOSITION_MAX_STEPS + 1)),
+        "--tolerance": st.sampled_from(["1e-9", "0", "-1", "nan", "inf", "x"]),
+    },
+    "figure": {
+        "--steps": small_ints, "--width": small_ints, "--height": small_ints,
+        "--fade-start": st.sampled_from(["0", "0.5", "1", "2", "nan"]),
+        "--fade-end": st.sampled_from(["0", "0.5", "1", "-1"]),
+        "--no-line": st.none(), "--no-centroids": st.none(),
+    },
+}
+positionals = {
+    "iterate": [DOC], "verify": [DOC], "figure": [DOC], "fuzz": [],
+    "proposition": [st.sampled_from(["-1", "0", "3", "5", "6", "7", "12", "64", str(PROPOSITION_MAX_M + 1), "x"])],
+}
+
+
+@st.composite
+def argument_lists(draw):
+    command = draw(st.sampled_from([*options, "bogus"]))
+    if command == "bogus":
+        return draw(st.lists(st.sampled_from([DOC, "--steps", "3", "-h", "x"]), max_size=4))
+    argv = [command] + [a if isinstance(a, str) else draw(a) for a in positionals[command]]
+    for flag, value in draw(st.fixed_dictionaries({}, optional=options[command])).items():
+        argv += [flag] if value is None else [flag, value]
+    if command == "fuzz":
+        # the default 1000 trials would make each run slow
+        argv += ["--trials", draw(st.integers(-1, 4).map(str))]
+    if draw(st.booleans()) or command == "figure":
+        argv += ["--output", OUT]
+    return argv
+
+
+class TestNoInputEscapesMain:
+    @settings(max_examples=300, deadline=None, suppress_health_check=[HealthCheck.too_slow])
+    @given(documents, argument_lists())
+    @example(DEEP_DOCUMENT, ["verify", DOC])
+    @example(json.dumps({"vertices": [["1e10000000", "0"], ["1", "0"]]}), ["iterate", DOC, "--mode", "float"])
+    def test_exit_code_in_contract(self, document, argv):
+        with tempfile.TemporaryDirectory() as tmp:
+            path = Path(tmp) / "doc.json"
+            path.write_text(document, encoding="utf-8")
+            argv = [str(path) if a == DOC else str(Path(tmp) / "out") if a == OUT else a for a in argv]
+            with redirect_stdout(StringIO()), redirect_stderr(StringIO()):
+                try:
+                    code = main(argv)
+                except SystemExit as exc:  # argparse: exit 2 on a usage error, 0 for -h
+                    code = exc.code
+        assert code in (EXIT_OK, EXIT_VIOLATION, EXIT_USAGE, EXIT_INSUFFICIENT)

@@ -3,7 +3,7 @@
 from fractions import Fraction as F
 
 import pytest
-from hypothesis import given, settings
+from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
 from midpoly import (
@@ -21,7 +21,16 @@ from midpoly import (
     z_moment,
 )
 
-from oracles import fan_centroid
+from oracles import (
+    fan_centroid,
+    fraction_centroid,
+    fraction_iterate,
+    fraction_midpoint_map,
+    fraction_project_out_modes_0_3,
+    fraction_signed_area,
+    fraction_vertex_centroid,
+    fraction_z_moment,
+)
 
 UNIT_SQUARE = Polygon.from_coords([(0, 0), (1, 0), (1, 1), (0, 1)])
 L_HEXAGON = Polygon.from_coords([(0, 0), (2, 0), (2, 1), (1, 1), (1, 2), (0, 2)])
@@ -212,3 +221,29 @@ class TestEquivariance:
         assert z_moment(rev) == -z_moment(p)
         if signed_area(p) != 0:
             assert centroid(rev) == centroid(p)
+
+
+class TestFractionReference:
+    """Each operation, computed on the integer lattice, equals its Fraction loop."""
+
+    @settings(max_examples=80, deadline=None)
+    @given(st.integers(min_value=1, max_value=8).flatmap(polygon_strategy), st.integers(0, 6))
+    @example(CONSTANT_HEX, 3)
+    @example(L_HEXAGON, 4)
+    def test_matches_fraction_loops(self, p, n):
+        assert iterate(p, n) == fraction_iterate(p, n)
+        assert midpoint_map(p) == fraction_midpoint_map(p)
+        assert signed_area(p) == fraction_signed_area(p)
+        assert z_moment(p) == fraction_z_moment(p)
+        assert vertex_centroid(p) == fraction_vertex_centroid(p)
+        if fraction_signed_area(p) == 0:
+            with pytest.raises(AreaZeroError):
+                centroid(p)
+        else:
+            assert centroid(p) == fraction_centroid(p)
+
+    @settings(max_examples=40, deadline=None)
+    @given(hexagons)
+    @example(CONSTANT_HEX)
+    def test_projection_matches_fraction_loop(self, p):
+        assert project_out_modes_0_3(p) == fraction_project_out_modes_0_3(p)

@@ -17,16 +17,13 @@ from midpoly import (
     UnsupportedSizeError,
     WrongSizeError,
     build_counterexample,
-    centroid,
     centroid_sequence,
     convergence_diagnostics,
     counterexample_modes,
     exact_colinear,
     fuzz_hexagons,
-    iterate,
     midpoint_map,
     point,
-    project_out_modes_0_3,
     reconstruct,
     vertex_centroid,
     verify_hexagon_theorem,
@@ -36,6 +33,16 @@ from midpoly import (
     z_moment,
 )
 from midpoly.verify import FuzzFailure, FuzzSummary, random_integer_polygon, trial_rng
+
+from oracles import (
+    fan_centroid,
+    fraction_centroid_or_none,
+    fraction_iterate,
+    fraction_midpoint_map,
+    fraction_project_out_modes_0_3,
+    fraction_vertex_centroid,
+    fraction_z_moment,
+)
 
 # Frozen witnesses, found by seeded search over integer hexagons and kept
 # fixed so the properties they demonstrate stay pinned down.
@@ -58,15 +65,8 @@ polygons_3_to_8 = st.integers(3, 8).flatmap(
 ).map(Polygon.from_coords)
 
 
-def centroid_or_none(q: Polygon) -> PlanePoint | None:
-    try:
-        return centroid(q)
-    except AreaZeroError:
-        return None
-
-
 def reference_fuzz(cfg: FuzzConfig) -> FuzzSummary:
-    """The fuzz campaign computed on the public Fraction API alone."""
+    """The fuzz campaign computed on the Fraction loops of `oracles` alone."""
     counts = dict.fromkeys(
         ["theorem_passes", "theorem_failures", "z_scaling_passes", "z_scaling_failures",
          "insufficient_data", "undefined_centroids", "g0_on_line_true", "g0_on_line_false"],
@@ -75,7 +75,7 @@ def reference_fuzz(cfg: FuzzConfig) -> FuzzSummary:
     first_failure = None
     for trial in range(cfg.trials):
         poly = random_integer_polygon(trial_rng(cfg.seed, trial), 6, cfg.coordinate_bound)
-        seq = [centroid_or_none(q) for q in iterate(poly, cfg.steps)]
+        seq = [fraction_centroid_or_none(q) for q in fraction_iterate(poly, cfg.steps)]
         counts["undefined_centroids"] += seq.count(None)
         defined = [(n, g) for n, g in enumerate(seq) if n >= 1 and g is not None]
         reason = None
@@ -84,7 +84,7 @@ def reference_fuzz(cfg: FuzzConfig) -> FuzzSummary:
         else:
             anchor = defined[0][1]
             # when every defined centroid coincides, the line runs to the limit
-            candidates = [g for _, g in defined] + [vertex_centroid(poly)]
+            candidates = [g for _, g in defined] + [fraction_vertex_centroid(poly)]
             direction = next((g - anchor for g in candidates if g != anchor), None)
 
             def member(q, anchor=anchor, direction=direction):
@@ -95,7 +95,7 @@ def reference_fuzz(cfg: FuzzConfig) -> FuzzSummary:
             violation = next((n for n, g in defined if not member(g)), None)
             if seq[0] is not None:
                 counts["g0_on_line_true" if member(seq[0]) else "g0_on_line_false"] += 1
-            if violation is None and member(vertex_centroid(poly)):
+            if violation is None and member(fraction_vertex_centroid(poly)):
                 counts["theorem_passes"] += 1
             else:
                 counts["theorem_failures"] += 1
@@ -103,8 +103,8 @@ def reference_fuzz(cfg: FuzzConfig) -> FuzzSummary:
                     reason = f"centroids not colinear, first violation at iterate {violation}"
                 else:
                     reason = "vertex centroid off the centroid line"
-        reduced = project_out_modes_0_3(poly)
-        z0, z1 = z_moment(reduced), z_moment(midpoint_map(reduced))
+        reduced = fraction_project_out_modes_0_3(poly)
+        z0, z1 = fraction_z_moment(reduced), fraction_z_moment(fraction_midpoint_map(reduced))
         if z1.x * 8 == z0.x * 3 and z1.y * 8 == z0.y * 3:
             counts["z_scaling_passes"] += 1
         else:
@@ -155,8 +155,6 @@ class TestCentroidSequence:
         assert centroid_sequence(sq, 3) == [target] * 4
 
     def test_l_hexagon_first_values(self):
-        from oracles import fan_centroid
-
         L = Polygon.from_coords([(0, 0), (2, 0), (2, 1), (1, 1), (1, 2), (0, 2)])
         seq = centroid_sequence(L, 2)
         assert seq[0] == point(F(5, 6), F(5, 6))
@@ -199,7 +197,7 @@ def reference_diagnostics(report) -> tuple:
 
 
 class TestLatticeKernel:
-    """The integer-lattice orbit against the public Fraction API."""
+    """The integer-lattice orbit against the Fraction loops of `oracles`."""
 
     @settings(max_examples=60, deadline=None)
     @given(polygons_3_to_8, st.integers(0, 10))
@@ -207,7 +205,8 @@ class TestLatticeKernel:
     @example(Polygon.from_coords([(0, 0), (1, 1), (2, 2), (F(7, 3), F(7, 3))]), 3)
     @example(Polygon.from_coords(CENTRAL_SYMMETRIC_HEX), 5)
     def test_centroid_sequence_matches_fraction_api(self, p, n):
-        assert centroid_sequence(p, n) == [centroid_or_none(q) for q in iterate(p, n)]
+        expected = [fraction_centroid_or_none(q) for q in fraction_iterate(p, n)]
+        assert centroid_sequence(p, n) == expected
 
     @settings(max_examples=40, deadline=None)
     @given(hexagons, st.integers(3, 30))
