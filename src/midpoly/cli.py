@@ -33,6 +33,7 @@ from .errors import (
     WrongSizeError,
 )
 from .exact_poly import (
+    Homogeneous,
     PlanePoint,
     Polygon,
     iterate,
@@ -52,6 +53,12 @@ EXIT_OK = 0
 EXIT_VIOLATION = 1
 EXIT_USAGE = 2
 EXIT_INSUFFICIENT = 3
+
+# Cost bounds of the printed orbits. Iterate n has numbers of about 2.6 n
+# bits: at 2000 steps `iterate` prints 14 MiB of the README hexagon's
+# iterates and `figure` converts them all to floats, each in about 0.6 s.
+ITERATE_MAX_STEPS = 2000
+FIGURE_MAX_STEPS = 2000
 
 _INT_RE = re.compile(r"[+-]?\d+\Z")
 _FRACTION_RE = re.compile(r"[+-]?\d+/\d+\Z")
@@ -121,13 +128,13 @@ def serialize_polygon_document(pairs: list[tuple[str, str]]) -> str:
 
 def to_exact_polygon(pairs: list[tuple[str, str]]) -> Polygon:
     """Exact-mode conversion: decimals are rejected, never rounded in."""
-    coords = []
+    vertices = []
     for sx, sy in pairs:
         for token in (sx, sy):
             if _classify(token) == "decimal":
                 raise ExactModeError(f"decimal coordinate {token!r} not allowed in exact mode")
-        coords.append((Fraction(sx), Fraction(sy)))
-    return Polygon.from_coords(coords)
+        vertices.append(PlanePoint(Fraction(sx), Fraction(sy)))
+    return Polygon(tuple(vertices))
 
 
 def _float_coordinate(token: str) -> float:
@@ -148,10 +155,20 @@ def _dumps(payload) -> str:
     return json.dumps(payload, indent=2, sort_keys=True) + "\n"
 
 
-def _point_json(p: PlanePoint | None):
-    if p is None:
+def fraction_text(x: int, w: int) -> str:
+    """str(Fraction(x, w)) for w != 0, without building the Fraction."""
+    if w < 0:
+        x, w = -x, -w
+    g = math.gcd(x, w)
+    return str(x // g) if g == w else f"{x // g}/{w // g}"
+
+
+def _homogeneous_json(h: Homogeneous | None):
+    """The point (x / w, y / w) as a pair of fraction strings."""
+    if h is None:
         return None
-    return [str(p.x), str(p.y)]
+    x, y, w = h
+    return [fraction_text(x, w), fraction_text(y, w)]
 
 
 def _complex_json(z: complex | None):
@@ -164,9 +181,11 @@ def _complex_json(z: complex | None):
 
 
 def cmd_iterate(pairs: list[tuple[str, str]], steps: int, mode: str) -> tuple[int, str]:
-    """List every midpoint iterate of the input polygon."""
+    """List every midpoint iterate of the input polygon; steps is at most ITERATE_MAX_STEPS."""
     if steps < 0:
         raise ValueError("steps must be nonnegative")
+    if steps > ITERATE_MAX_STEPS:
+        raise ValueError(f"at most {ITERATE_MAX_STEPS} iterations, got {steps}")
     if mode == "exact":
         seq = iterate(to_exact_polygon(pairs), steps)
         polys = [[[str(v.x), str(v.y)] for v in q] for q in seq]
@@ -209,13 +228,13 @@ def cmd_verify(pairs: list[tuple[str, str]], steps: int) -> tuple[int, str]:
         "all_colinear": report.all_colinear,
         "first_violation": report.first_violation,
         "line": {
-            "anchor": _point_json(report.line_anchor),
-            "direction": _point_json(report.line_direction),
+            "anchor": _homogeneous_json(report.anchor),
+            "direction": _homogeneous_json(report.direction),
         },
         "g0_on_line": report.g0_on_line,
-        "limit_point": _point_json(report.limit_point),
+        "limit_point": _homogeneous_json(report.limit),
         "limit_on_line": report.limit_on_line,
-        "centroids": [_point_json(g) for g in report.centroids],
+        "centroids": [_homogeneous_json(g) for g in report.orbit],
         "monotonicity": mono,
     }
     code = EXIT_OK if report.passed else EXIT_VIOLATION
@@ -262,6 +281,8 @@ class FigureSpec:
     def __post_init__(self):
         if self.steps < 1:
             raise ValueError("steps must be at least 1")
+        if self.steps > FIGURE_MAX_STEPS:
+            raise ValueError(f"at most {FIGURE_MAX_STEPS} iterations, got {self.steps}")
         for value in (self.fade_start, self.fade_end):
             if not 0.0 <= value <= 1.0:
                 raise ValueError("opacities must lie in [0, 1]")

@@ -10,7 +10,10 @@ L * 2^n, with W_n[k] = W_{n-1}[k] + W_{n-1}[k+1]. Twice the area A2 and
 the moment Z of W_n are integer shoelace sums: the polygon W / L has
 signed area A2 / (2 L^2) and moment Z / L^3, and its centroid is the
 homogeneous integer triple (Zx, Zy, 3 * A2 * L), i.e. the point
-(Zx / w, Zy / w). The verifier works on these integers directly.
+(Zx / w, Zy / w). The shoelace loop sums each edge's endpoints for Z,
+and those edge sums are W_{n+1}, so one pass yields the moments of W_n
+and the next iterate. The verifier works on these integers directly,
+up to the printed report.
 
 All values are immutable and all operations are pure functions, so callers
 may copy them freely and parallelize over independent polygons.
@@ -25,8 +28,7 @@ from typing import Iterable, Sequence
 
 from .errors import AreaZeroError, WrongSizeError
 
-# A point (x / w, y / w) of the plane as integers with w != 0. A triple with
-# w == 0 stands for the direction (x, y) instead, the point at infinity.
+# A point (x / w, y / w) of the plane as integers with w != 0.
 Homogeneous = tuple[int, int, int]
 
 
@@ -150,7 +152,7 @@ def signed_area(p: Polygon) -> Fraction:
     the sum is identically zero.
     """
     scale, xs, ys = to_lattice(p)
-    a2, _, _ = lattice_moments(xs, ys)
+    a2, *_ = lattice_moments(xs, ys)
     return Fraction(a2, 2 * scale * scale)
 
 
@@ -161,7 +163,7 @@ def z_moment(p: Polygon) -> PlanePoint:
     is nonzero.
     """
     scale, xs, ys = to_lattice(p)
-    _, zx, zy = lattice_moments(xs, ys)
+    _, zx, zy, _, _ = lattice_moments(xs, ys)
     return PlanePoint(Fraction(zx, scale**3), Fraction(zy, scale**3))
 
 
@@ -218,17 +220,29 @@ def lattice_step(values: Sequence[int]) -> list[int]:
     return [a + b for a, b in zip(values, [*values[1:], *values[:1]])]
 
 
-def lattice_moments(xs: Sequence[int], ys: Sequence[int]) -> tuple[int, int, int]:
-    """(A2, Zx, Zy) of an integer polygon: twice the signed area and the moment Z."""
+def lattice_moments(
+    xs: Sequence[int], ys: Sequence[int]
+) -> tuple[int, int, int, list[int], list[int]]:
+    """(A2, Zx, Zy, xs', ys') of an integer polygon in one shoelace pass.
+
+    A2 is twice the signed area and (Zx, Zy) the moment Z. Z weighs each
+    edge's cross product by the sum of its endpoints, W[k] + W[k+1], and
+    those sums are the next iterate (xs', ys') = (lattice_step(xs),
+    lattice_step(ys)), which the pass returns as well.
+    """
     a2 = zx = zy = 0
-    x0, y0 = xs[-1], ys[-1]
-    for x1, y1 in zip(xs, ys):
+    next_xs: list[int] = []
+    next_ys: list[int] = []
+    for x0, y0, x1, y1 in zip(xs, ys, [*xs[1:], *xs[:1]], [*ys[1:], *ys[:1]]):
         c = x0 * y1 - x1 * y0
+        sx = x0 + x1
+        sy = y0 + y1
         a2 += c
-        zx += (x0 + x1) * c
-        zy += (y0 + y1) * c
-        x0, y0 = x1, y1
-    return a2, zx, zy
+        zx += sx * c
+        zy += sy * c
+        next_xs.append(sx)
+        next_ys.append(sy)
+    return a2, zx, zy, next_xs, next_ys
 
 
 def lattice_centroids(
@@ -237,14 +251,16 @@ def lattice_centroids(
     """Homogeneous centroids of the iterates 0..n of the polygon (xs, ys) / scale.
 
     Iterate s is W_s / (scale * 2^s), so its centroid Z / (6 A) is
-    Z(W_s) / (3 * A2(W_s) * scale * 2^s); None marks a zero-area iterate.
+    Z(W_s) / (3 * A2(W_s) * scale * 2^s), given as a triple with w > 0;
+    None marks a zero-area iterate. Each `lattice_moments` pass also
+    yields the next iterate.
     """
     out: list[Homogeneous | None] = []
     for s in range(n + 1):
-        a2, zx, zy = lattice_moments(xs, ys)
+        a2, zx, zy, xs, ys = lattice_moments(xs, ys)
+        if a2 < 0:
+            a2, zx, zy = -a2, -zx, -zy
         out.append(None if a2 == 0 else (zx, zy, (3 * a2 * scale) << s))
-        if s < n:
-            xs, ys = lattice_step(xs), lattice_step(ys)
     return out
 
 

@@ -41,7 +41,6 @@ from .exact_poly import (
     lattice_centroids,
     lattice_moments,
     lattice_projection,
-    lattice_step,
     to_homogeneous,
     to_lattice,
     vertex_centroid,
@@ -59,11 +58,15 @@ from .spectral import (
 RATIO_REL_TOL = 1e-9
 SLOPE_DISTINCT_TOL = 1e-12
 # Cost bounds of verify_proposition: each step builds an m-length mode
-# vector, and the pairwise slope check is quadratic in the step count.
+# vector.
 PROPOSITION_MAX_M = 4096
 PROPOSITION_MAX_STEPS = 2000
 # verify_hexagon_theorem's iterate n has numbers of about 2.6 n bits.
 VERIFY_MAX_STEPS = 2000
+# Cost bounds of fuzz_hexagons, linear in the trials: a trial of 200
+# steps takes about 2 ms, of the default 12 steps about 0.1 ms.
+FUZZ_MAX_TRIALS = 10_000
+FUZZ_MAX_STEPS = 200
 
 
 class LineCheck(NamedTuple):
@@ -76,17 +79,17 @@ def _same_point(p: Homogeneous, q: Homogeneous) -> bool:
 
 
 def _direction(a: Homogeneous, b: Homogeneous) -> Homogeneous:
-    """The direction from a to b, scaled by a_w * b_w, as a point at infinity."""
-    return (b[0] * a[2] - a[0] * b[2], b[1] * a[2] - a[1] * b[2], 0)
+    """The vector b - a as a triple (dx, dy, a_w * b_w)."""
+    return (b[0] * a[2] - a[0] * b[2], b[1] * a[2] - a[1] * b[2], a[2] * b[2])
 
 
 def _on_line(q: Homogeneous, anchor: Homogeneous, direction: Homogeneous | None) -> bool:
     """Exact membership of q in the line through anchor along direction.
 
     The line degenerates to the anchor itself when direction is None.
-    Otherwise q is on it exactly when the 3x3 determinant of q, anchor and
-    the direction vanishes; since the direction has w == 0 that is the
-    cross product (q - anchor) x direction, scaled by q_w * anchor_w.
+    Otherwise q is on it exactly when the cross product
+    (q - anchor) x (dx, dy) vanishes, here scaled by q_w * anchor_w; the
+    direction's w only scales the vector and plays no part.
     """
     if direction is None:
         return _same_point(q, anchor)
@@ -140,23 +143,29 @@ def centroid_sequence(p: Polygon, n: int) -> list[PlanePoint | None]:
 class ColinearityReport:
     """Exact verdict on the centroid line of an iterated hexagon.
 
-    centroids[n] is the centroid of the n-th iterate or None where the
-    area vanishes. The line is anchored at the first defined centroid
-    with index >= 1, directed toward the next defined distinct one, or
-    toward the limit when all defined centroids coincide (two points
-    always share a line). line_direction is None when the limit
-    coincides with them too; membership then means equality with the
-    anchor. g0_on_line is None when the initial centroid is undefined.
-    failure is None when the check passes, else the reason it fails.
+    The points are homogeneous integer triples (x, y, w) with w > 0, as
+    the lattice kernel computes them. orbit[n] is the centroid of the
+    n-th iterate or None where the area vanishes; limit is the vertex
+    centroid. The line is anchored at the first defined centroid with
+    index >= 1, directed toward the next defined distinct one, or toward
+    the limit when all defined centroids coincide (two points always
+    share a line). direction is the rational vector from the anchor to
+    that point, or None when the limit coincides with them too;
+    membership then means equality with the anchor. g0_on_line is None
+    when the initial centroid is undefined. failure is None when the
+    check passes, else the reason it fails.
+
+    centroids, line_anchor, line_direction and limit_point are the same
+    values as PlanePoints, built on demand.
     """
 
-    centroids: tuple[PlanePoint | None, ...]
-    line_anchor: PlanePoint
-    line_direction: PlanePoint | None
+    orbit: tuple[Homogeneous | None, ...]
+    anchor: Homogeneous
+    direction: Homogeneous | None
     all_colinear: bool
     first_violation: int | None
     g0_on_line: bool | None
-    limit_point: PlanePoint
+    limit: Homogeneous
     limit_on_line: bool
     failure: str | None
 
@@ -164,13 +173,25 @@ class ColinearityReport:
     def passed(self) -> bool:
         return self.failure is None
 
+    @property
+    def centroids(self) -> tuple[PlanePoint | None, ...]:
+        return tuple(None if g is None else from_homogeneous(g) for g in self.orbit)
+
+    @property
+    def line_anchor(self) -> PlanePoint:
+        return from_homogeneous(self.anchor)
+
+    @property
+    def line_direction(self) -> PlanePoint | None:
+        return None if self.direction is None else from_homogeneous(self.direction)
+
+    @property
+    def limit_point(self) -> PlanePoint:
+        return from_homogeneous(self.limit)
+
     def on_line(self, q: PlanePoint) -> bool:
         """Exact membership test against the report's line."""
-        anchor = to_homogeneous(self.line_anchor)
-        direction = None
-        if self.line_direction is not None:
-            direction = _direction(anchor, to_homogeneous(self.line_anchor + self.line_direction))
-        return _on_line(to_homogeneous(q), anchor, direction)
+        return _on_line(to_homogeneous(q), self.anchor, self.direction)
 
 
 class _LineVerdict(NamedTuple):
@@ -234,19 +255,19 @@ def verify_hexagon_theorem(p: Polygon, n: int) -> ColinearityReport:
     if n > VERIFY_MAX_STEPS:
         raise ValueError(f"at most {VERIFY_MAX_STEPS} iterations, got {n}")
     scale, xs, ys = to_lattice(p)
-    centroids = lattice_centroids(scale, xs, ys, n)
+    orbit = tuple(lattice_centroids(scale, xs, ys, n))
     limit = (sum(xs), sum(ys), 6 * scale)
-    verdict = _decide_line(centroids, limit)
-    points = [None if g is None else from_homogeneous(g) for g in (*centroids, limit)]
+    verdict = _decide_line(orbit, limit)
+    points = (*orbit, limit)
     anchor = points[verdict.anchor]
     return ColinearityReport(
-        centroids=tuple(points[:-1]),
-        line_anchor=anchor,
-        line_direction=None if verdict.through is None else points[verdict.through] - anchor,
+        orbit=orbit,
+        anchor=anchor,
+        direction=None if verdict.through is None else _direction(anchor, points[verdict.through]),
         all_colinear=verdict.first_violation is None,
         first_violation=verdict.first_violation,
         g0_on_line=verdict.g0_on_line,
-        limit_point=points[-1],
+        limit=limit,
         limit_on_line=verdict.limit_on_line,
         failure=verdict.failure,
     )
@@ -259,9 +280,8 @@ def _z_scaling_holds(xs: Sequence[int], ys: Sequence[int]) -> bool:
     keeps it integer. As Z is cubic and R + shift(R) is 2 M R, the
     identity reads Z(R + shift(R)) = 3 Z(R).
     """
-    rx, ry = lattice_projection(xs), lattice_projection(ys)
-    _, zx, zy = lattice_moments(rx, ry)
-    _, zx1, zy1 = lattice_moments(lattice_step(rx), lattice_step(ry))
+    _, zx, zy, rx1, ry1 = lattice_moments(lattice_projection(xs), lattice_projection(ys))
+    _, zx1, zy1, _, _ = lattice_moments(rx1, ry1)
     return zx1 == 3 * zx and zy1 == 3 * zy
 
 
@@ -345,6 +365,21 @@ class CounterexampleReport:
         return self.ratio_ok and self.lines_pairwise_distinct
 
 
+def slopes_pairwise_distinct(slopes: Sequence[float]) -> bool:
+    """Whether no two slopes lie within SLOPE_DISTINCT_TOL, relative to the larger magnitude.
+
+    Only neighbours in sorted order are compared. That decides every pair:
+    for sorted a <= b <= c with, say, |c| >= |a|, the rounded gap c - b is
+    at most the rounded c - a (rounding is monotone), and the tolerance of
+    (b, c) is at least that of (a, c); so when (a, c) is close, so is
+    (b, c). A NaN slope is close to nothing and is left out.
+    """
+    ordered = sorted(s for s in slopes if not math.isnan(s))
+    return not any(
+        b - a <= SLOPE_DISTINCT_TOL * max(1.0, abs(a), abs(b)) for a, b in zip(ordered, ordered[1:])
+    )
+
+
 def verify_proposition(m: int, n: int, rel_tol: float = RATIO_REL_TOL) -> CounterexampleReport:
     """Check the witness m-gon's moment slopes against 2*cos(2*pi/m) - 1.
 
@@ -381,13 +416,6 @@ def verify_proposition(m: int, n: int, rel_tol: float = RATIO_REL_TOL) -> Counte
     ratios = tuple(slopes[i + 1] / slopes[i] for i in range(n))
     ratio_ok = all(relative_close(r, expected, rel=rel_tol) for r in ratios)
     measured = sum(ratios) / len(ratios)
-
-    distinct = True
-    for i in range(len(slopes)):
-        for j in range(i + 1, len(slopes)):
-            gap = abs(slopes[i] - slopes[j])
-            if gap <= SLOPE_DISTINCT_TOL * max(1.0, abs(slopes[i]), abs(slopes[j])):
-                distinct = False
     return CounterexampleReport(
         m=m,
         slopes=tuple(slopes),
@@ -395,7 +423,7 @@ def verify_proposition(m: int, n: int, rel_tol: float = RATIO_REL_TOL) -> Counte
         measured_ratio=measured,
         expected_ratio=expected,
         ratio_ok=ratio_ok,
-        lines_pairwise_distinct=distinct,
+        lines_pairwise_distinct=slopes_pairwise_distinct(slopes),
         centroids=tuple(overlays),
     )
 
@@ -406,7 +434,8 @@ class FuzzConfig:
 
     Vertices are drawn with independent integer coordinates uniform on
     [-coordinate_bound, coordinate_bound]^2; trial t uses the random
-    stream seeded by (seed, t), so trials are order-independent.
+    stream seeded by (seed, t), so trials are order-independent. trials
+    is at most FUZZ_MAX_TRIALS and steps at most FUZZ_MAX_STEPS.
     """
 
     seed: int = 42
@@ -417,10 +446,14 @@ class FuzzConfig:
     def __post_init__(self):
         if self.trials < 1:
             raise ValueError("trials must be at least 1")
+        if self.trials > FUZZ_MAX_TRIALS:
+            raise ValueError(f"at most {FUZZ_MAX_TRIALS} trials, got {self.trials}")
         if self.coordinate_bound < 1:
             raise ValueError("coordinate bound must be at least 1")
         if self.steps < 2:
             raise ValueError("steps must be at least 2")
+        if self.steps > FUZZ_MAX_STEPS:
+            raise ValueError(f"at most {FUZZ_MAX_STEPS} iterations, got {self.steps}")
 
 
 @dataclass(frozen=True)
@@ -579,16 +612,13 @@ def diagnostics_from_report(report: ColinearityReport) -> ConvergenceDiagnostics
     or None where that is not a normal double.
     Requires at least three defined centroids past the first iterate.
     """
-    lx, ly, lw = to_homogeneous(report.limit_point)
-    defined = [
-        (k, to_homogeneous(g)) for k, g in enumerate(report.centroids) if k >= 1 and g is not None
-    ]
+    lx, ly, lw = report.limit
+    defined = [(k, g) for k, g in enumerate(report.orbit) if k >= 1 and g is not None]
     if len(defined) < 3:
         raise InsufficientDataError("need at least three defined centroids")
 
-    # to_homogeneous gives w > 0. direction = (dx, dy) / c; centroid minus limit = (ox, oy) / ow
-    direction = report.line_direction
-    dx, dy, c = (1, 0, 1) if direction is None else to_homogeneous(direction)
+    # the report's triples have w > 0. direction = (dx, dy) / c; centroid minus limit = (ox, oy) / ow
+    dx, dy, c = (1, 0, 1) if report.direction is None else report.direction
     norm2 = dx * dx + dy * dy
     offsets = [(x * lw - lx * w, y * lw - ly * w, w * lw) for _, (x, y, w) in defined]
 

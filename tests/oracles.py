@@ -3,13 +3,15 @@
 These deliberately avoid the code paths they check: the centroid oracle
 uses a triangle-fan decomposition instead of the shoelace sums, the
 Fraction loops compute on rationals where `exact_poly` computes on the
-integer lattice, and the dense mode sums visit every mode where the
-spectral layer visits only the nonzero ones.
+integer lattice, the dense mode sums visit every mode where the
+spectral layer visits only the nonzero ones, and the slope distinctness
+check compares every pair where `verify` compares sorted neighbours.
 """
 
 from fractions import Fraction as F
 
 from midpoly import AreaZeroError, ModeVector, PlanePoint, Polygon, eigenvalue, root_of_unity
+from midpoly.verify import SLOPE_DISTINCT_TOL
 
 
 def fan_centroid(p: Polygon) -> PlanePoint:
@@ -145,3 +147,14 @@ def dense_area_from_modes(mv: ModeVector) -> float:
     for j, c in enumerate(mv.coefficients):
         total += (c.real * c.real + c.imag * c.imag) * root_of_unity(m, j).imag
     return 0.5 * m * total
+
+
+def pairwise_slopes_distinct(slopes: list[float]) -> bool:
+    """No pair of slopes within SLOPE_DISTINCT_TOL of the larger magnitude, over all pairs."""
+    distinct = True
+    for i in range(len(slopes)):
+        for j in range(i + 1, len(slopes)):
+            gap = abs(slopes[i] - slopes[j])
+            if gap <= SLOPE_DISTINCT_TOL * max(1.0, abs(slopes[i]), abs(slopes[j])):
+                distinct = False
+    return distinct

@@ -7,6 +7,7 @@ import sys
 import tempfile
 import time
 from contextlib import redirect_stderr, redirect_stdout
+from fractions import Fraction
 from io import StringIO
 from pathlib import Path
 
@@ -19,12 +20,15 @@ from midpoly.cli import (
     EXIT_OK,
     EXIT_USAGE,
     EXIT_VIOLATION,
+    FIGURE_MAX_STEPS,
+    ITERATE_MAX_STEPS,
     FigureSpec,
     cmd_figure,
     cmd_fuzz,
     cmd_iterate,
     cmd_proposition,
     cmd_verify,
+    fraction_text,
     main,
     parse_polygon_document,
     render_figure,
@@ -38,7 +42,14 @@ from midpoly.errors import (
 )
 from midpoly.exact_poly import Polygon
 from midpoly.spectral import to_float_polygon
-from midpoly.verify import PROPOSITION_MAX_M, PROPOSITION_MAX_STEPS, VERIFY_MAX_STEPS, FuzzConfig
+from midpoly.verify import (
+    FUZZ_MAX_STEPS,
+    FUZZ_MAX_TRIALS,
+    PROPOSITION_MAX_M,
+    PROPOSITION_MAX_STEPS,
+    VERIFY_MAX_STEPS,
+    FuzzConfig,
+)
 
 HEX_DOC = {
     "schema": "polygon/1",
@@ -139,10 +150,37 @@ class TestDocumentParsing:
         assert again == text
 
 
+class TestFractionText:
+    @settings(max_examples=300, deadline=None)
+    @given(st.integers(-(2**500), 2**500), st.integers(-(2**500), 2**500).filter(bool))
+    @example(0, -7)
+    @example(0, 1)
+    @example(-6, -4)
+    @example(2**500, -(2**499))
+    @example(3**300, 2**500 - 1)
+    def test_matches_str_fraction(self, x, w):
+        assert fraction_text(x, w) == str(Fraction(x, w))
+
+
 class TestModeConversion:
     def test_exact_rejects_decimals(self):
         with pytest.raises(ExactModeError):
             to_exact_polygon([("0.5", "1")])
+
+    @pytest.mark.parametrize(
+        "vertices, error",
+        [
+            ([["1" * 5000, "0"], ["0.5", "1"]], ValueError),
+            ([["1" * 5000, "0.5"], ["1", "1"]], ExactModeError),
+            ([["0.5", "0"], ["1" * 5000, "1"]], ExactModeError),
+        ],
+        ids=["long-int-then-decimal", "same-pair", "decimal-then-long-int"],
+    )
+    def test_exact_checks_pair_by_pair(self, vertices, error):
+        # each pair is checked for decimals, then converted, before the next pair
+        with pytest.raises(error) as info:
+            to_exact_polygon(doc({"vertices": vertices}))
+        assert (error is ExactModeError) == isinstance(info.value, ExactModeError)
 
     def test_exact_accepts_fractions(self):
         poly = to_exact_polygon([("22/7", "-5/3"), ("3", "0")])
@@ -566,6 +604,70 @@ class TestMainEntry:
         assert json.loads(capsys.readouterr().out)["monotonicity"] is not None
         assert len(calls) == 1
 
+    @pytest.mark.parametrize("document", [HEX_DOC, L_HEX_DOC, CONSTANT_HEX_DOC])
+    def test_verify_stays_on_integers(self, document, monkeypatch):
+        import midpoly
+        import midpoly.cli
+        import midpoly.exact_poly
+        import midpoly.verify
+
+        calls = []
+        for name in ("from_homogeneous", "to_homogeneous"):
+            original = getattr(midpoly.exact_poly, name)
+
+            def counting(*args, name=name, original=original):
+                calls.append(name)
+                return original(*args)
+
+            for module in (midpoly, midpoly.cli, midpoly.exact_poly, midpoly.verify):
+                if getattr(module, name, None) is original:
+                    monkeypatch.setattr(module, name, counting)
+        code, _ = cmd_verify(doc(document), 12)
+        assert code in (EXIT_OK, EXIT_INSUFFICIENT)
+        assert calls == []
+        # the counting wrappers are live: the report's point views use them
+        report = midpoly.verify.verify_hexagon_theorem(to_exact_polygon(doc(L_HEX_DOC)), 3)
+        assert report.limit_point is not None and calls == ["from_homogeneous"]
+
+    @pytest.mark.parametrize(
+        "argv, message",
+        [
+            (["fuzz", "--trials", str(FUZZ_MAX_TRIALS + 1)],
+             f"at most {FUZZ_MAX_TRIALS} trials, got {FUZZ_MAX_TRIALS + 1}"),
+            (["fuzz", "--steps", str(FUZZ_MAX_STEPS + 1)],
+             f"at most {FUZZ_MAX_STEPS} iterations, got {FUZZ_MAX_STEPS + 1}"),
+            (["iterate", "HEX", "--steps", str(ITERATE_MAX_STEPS + 1)],
+             f"at most {ITERATE_MAX_STEPS} iterations, got {ITERATE_MAX_STEPS + 1}"),
+            (["iterate", "HEX", "--steps", str(ITERATE_MAX_STEPS + 1), "--mode", "float"],
+             f"at most {ITERATE_MAX_STEPS} iterations, got {ITERATE_MAX_STEPS + 1}"),
+            (["figure", "HEX", "--steps", str(FIGURE_MAX_STEPS + 1), "--output", "OUT"],
+             f"at most {FIGURE_MAX_STEPS} iterations, got {FIGURE_MAX_STEPS + 1}"),
+        ],
+        ids=["fuzz-trials", "fuzz-steps", "iterate-steps", "iterate-float-steps", "figure-steps"],
+    )
+    def test_cost_limits_exit_usage(self, argv, message, tmp_path, capsys):
+        hex_path = self.write(tmp_path, "hex.json", HEX_DOC)
+        out = tmp_path / "out.svg"
+        argv = [hex_path if a == "HEX" else str(out) if a == "OUT" else a for a in argv]
+        assert main(argv) == EXIT_USAGE
+        captured = capsys.readouterr()
+        assert captured.out == ""
+        assert captured.err == f"midpoly: error: {message}\n"
+        assert not out.exists()
+
+    @pytest.mark.parametrize(
+        "argv",
+        [
+            ["fuzz", "--trials", "3", "--steps", str(FUZZ_MAX_STEPS)],
+            ["iterate", "HEX", "--steps", str(ITERATE_MAX_STEPS), "--mode", "float"],
+        ],
+        ids=["fuzz-steps", "iterate-float-steps"],
+    )
+    def test_cost_limits_are_inclusive(self, argv, tmp_path, capsys):
+        hex_path = self.write(tmp_path, "hex.json", HEX_DOC)
+        assert main([hex_path if a == "HEX" else a for a in argv]) == EXIT_OK
+        assert capsys.readouterr().err == ""
+
     def test_output_flag_writes_file(self, tmp_path, capsys):
         sq = self.write(tmp_path, "sq.json", SQUARE_DOC)
         out = tmp_path / "it.json"
@@ -609,15 +711,18 @@ small_ints = st.integers(-3, 12).map(str)
 # every option a command takes, with values small enough to keep each run short;
 # the bounded options also get the first value past their limit
 options = {
-    "iterate": {"--steps": small_ints, "--mode": st.sampled_from(["exact", "float", "x"])},
+    "iterate": {
+        "--steps": small_ints | st.just(str(ITERATE_MAX_STEPS + 1)),
+        "--mode": st.sampled_from(["exact", "float", "x"]),
+    },
     "verify": {"--steps": small_ints | st.just(str(VERIFY_MAX_STEPS + 1))},
-    "fuzz": {"--seed": small_ints, "--bound": small_ints, "--steps": small_ints},
+    "fuzz": {"--seed": small_ints, "--bound": small_ints, "--steps": small_ints | st.just(str(FUZZ_MAX_STEPS + 1))},
     "proposition": {
         "--steps": small_ints | st.just(str(PROPOSITION_MAX_STEPS + 1)),
         "--tolerance": st.sampled_from(["1e-9", "0", "-1", "nan", "inf", "x"]),
     },
     "figure": {
-        "--steps": small_ints, "--width": small_ints, "--height": small_ints,
+        "--steps": small_ints | st.just(str(FIGURE_MAX_STEPS + 1)), "--width": small_ints, "--height": small_ints,
         "--fade-start": st.sampled_from(["0", "0.5", "1", "2", "nan"]),
         "--fade-end": st.sampled_from(["0", "0.5", "1", "-1"]),
         "--no-line": st.none(), "--no-centroids": st.none(),
@@ -639,7 +744,7 @@ def argument_lists(draw):
         argv += [flag] if value is None else [flag, value]
     if command == "fuzz":
         # the default 1000 trials would make each run slow
-        argv += ["--trials", draw(st.integers(-1, 4).map(str))]
+        argv += ["--trials", draw(st.integers(-1, 4).map(str) | st.just(str(FUZZ_MAX_TRIALS + 1)))]
     if draw(st.booleans()) or command == "figure":
         argv += ["--output", OUT]
     return argv

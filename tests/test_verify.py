@@ -32,7 +32,15 @@ from midpoly import (
     verify_z_scaling,
     z_moment,
 )
-from midpoly.verify import FuzzFailure, FuzzSummary, random_integer_polygon, trial_rng
+from midpoly.exact_poly import from_homogeneous
+from midpoly.verify import (
+    SLOPE_DISTINCT_TOL,
+    FuzzFailure,
+    FuzzSummary,
+    random_integer_polygon,
+    slopes_pairwise_distinct,
+    trial_rng,
+)
 
 from oracles import (
     fan_centroid,
@@ -42,6 +50,7 @@ from oracles import (
     fraction_project_out_modes_0_3,
     fraction_vertex_centroid,
     fraction_z_moment,
+    pairwise_slopes_distinct,
 )
 
 # Frozen witnesses, found by seeded search over integer hexagons and kept
@@ -63,6 +72,19 @@ hexagons = st.lists(st.tuples(rationals, rationals), min_size=6, max_size=6).map
 polygons_3_to_8 = st.integers(3, 8).flatmap(
     lambda m: st.lists(st.tuples(rationals, rationals), min_size=m, max_size=m)
 ).map(Polygon.from_coords)
+
+
+
+@st.composite
+def slope_lists(draw):
+    """Floats, infinities and NaN, plus copies of some shifted by about the distinctness tolerance."""
+    base = draw(st.lists(st.floats(), min_size=1, max_size=10))
+    near = draw(st.lists(
+        st.tuples(st.sampled_from(base), st.floats(-3.0, 3.0)).map(
+            lambda t: t[0] + t[1] * SLOPE_DISTINCT_TOL * max(1.0, abs(t[0]))),
+        max_size=6,
+    ))
+    return draw(st.permutations(base + near))
 
 
 def reference_fuzz(cfg: FuzzConfig) -> FuzzSummary:
@@ -275,6 +297,28 @@ class TestHexagonTheorem:
         assert report.line_anchor == vertex_centroid(p)
         assert report.limit_on_line
 
+    @settings(max_examples=40, deadline=None)
+    @given(hexagons, st.integers(1, 12))
+    @example(Polygon.from_coords(CENTRAL_SYMMETRIC_HEX), 4)
+    @example(Polygon.from_coords(G0_OFF_LINE_HEX).reversed(), 6)
+    def test_point_views_match_triples(self, p, n):
+        try:
+            report = verify_hexagon_theorem(p, n)
+        except InsufficientDataError:
+            return
+        triples = [g for g in (*report.orbit, report.anchor, report.limit) if g is not None]
+        assert all(w > 0 for _, _, w in triples)
+        assert report.centroids == tuple(None if g is None else from_homogeneous(g) for g in report.orbit)
+        assert report.line_anchor == from_homogeneous(report.anchor)
+        assert report.limit_point == from_homogeneous(report.limit)
+        if report.direction is None:
+            assert report.line_direction is None
+        else:
+            assert report.direction[2] > 0
+            assert report.line_direction == from_homogeneous(report.direction)
+        assert report.centroids == tuple(fraction_centroid_or_none(q) for q in fraction_iterate(p, n))
+        assert report.limit_point == fraction_vertex_centroid(p)
+
     def test_g0_off_line_witness(self):
         report = verify_hexagon_theorem(Polygon.from_coords(G0_OFF_LINE_HEX), 12)
         assert report.all_colinear
@@ -429,6 +473,16 @@ class TestProposition:
     def test_step_floor(self):
         with pytest.raises(ValueError):
             verify_proposition(7, 2)
+
+    @settings(max_examples=400, deadline=None)
+    @given(slope_lists())
+    @example([math.inf, math.inf])
+    @example([-math.inf, 1.0, math.inf])
+    @example([1.0, math.nan, 1.0 + 0.5 * SLOPE_DISTINCT_TOL])
+    @example([3.0, 1.0, 2.0, 1.0 + 0.5 * SLOPE_DISTINCT_TOL])
+    @example([2.0e6, -5.0, 2.0e6 * (1.0 + 2.0 * SLOPE_DISTINCT_TOL)])
+    def test_sorted_distinctness_matches_pairwise_loop(self, slopes):
+        assert slopes_pairwise_distinct(slopes) == pairwise_slopes_distinct(slopes)
 
 
 class TestFuzz:
