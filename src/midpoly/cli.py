@@ -23,6 +23,7 @@ import re
 import sys
 from dataclasses import dataclass
 from fractions import Fraction
+from json.encoder import encode_basestring_ascii as _json_str
 from pathlib import Path
 
 from . import spectral
@@ -151,8 +152,68 @@ def _float_coordinate(token: str) -> float:
     return value if value or Fraction(_DECIMAL_RE.match(token).group(1)) else 0.0
 
 
+_JSON_NONFINITE = {"nan": "NaN", "inf": "Infinity", "-inf": "-Infinity"}
+
+
 def _dumps(payload) -> str:
-    return json.dumps(payload, indent=2, sort_keys=True) + "\n"
+    """The text of payload as the json module prints it with indent=2 and
+    sorted keys, plus a final newline, written without its pure-Python encoder.
+
+    Takes str, int, bool, float, None, lists, tuples and dicts with str
+    keys; any other type raises TypeError.
+    """
+    out: list[str] = []
+    _write_json(payload, "\n", out)
+    out.append("\n")
+    return "".join(out)
+
+
+def _write_json(value, newline: str, out: list[str]) -> None:
+    """Append the indented JSON text of value; newline opens its nested lines."""
+    if isinstance(value, str):
+        out.append(_json_str(value))
+    elif value is None:
+        out.append("null")
+    elif value is True:
+        out.append("true")
+    elif value is False:
+        out.append("false")
+    elif isinstance(value, int):
+        out.append(int.__repr__(value))
+    elif isinstance(value, float):
+        text = float.__repr__(value)
+        out.append(_JSON_NONFINITE.get(text, text))
+    elif isinstance(value, (list, tuple)):
+        if not value:
+            out.append("[]")
+            return
+        inner = newline + "  "
+        sep = "[" + inner
+        for item in value:
+            out.append(sep)
+            _write_json(item, inner, out)
+            sep = "," + inner
+        out.append(newline + "]")
+    elif isinstance(value, dict):
+        if not value:
+            out.append("{}")
+            return
+        inner = newline + "  "
+        sep = "{" + inner
+        for key, item in sorted(value.items()):
+            out.append(sep)
+            out.append(_json_str(key))
+            out.append(": ")
+            _write_json(item, inner, out)
+            sep = "," + inner
+        out.append(newline + "}")
+    else:
+        raise TypeError(f"Object of type {type(value).__name__} is not JSON serializable")
+
+
+def _fields(obj) -> dict:
+    """A dataclass instance's fields by name, values as they are, not copied."""
+    return {f.name: getattr(obj, f.name) for f in dataclasses.fields(obj)}
 
 
 def fraction_text(x: int, w: int) -> str:
@@ -217,8 +278,7 @@ def cmd_verify(pairs: list[tuple[str, str]], steps: int) -> tuple[int, str]:
         return EXIT_INSUFFICIENT, _dumps(payload)
 
     try:
-        diag = diagnostics_from_report(report)
-        mono = {f.name: getattr(diag, f.name) for f in dataclasses.fields(diag)}
+        mono = _fields(diagnostics_from_report(report))
     except InsufficientDataError:
         mono = None
 
@@ -244,7 +304,9 @@ def cmd_verify(pairs: list[tuple[str, str]], steps: int) -> tuple[int, str]:
 def cmd_fuzz(cfg: FuzzConfig) -> tuple[int, str]:
     """Seeded random campaign over integer hexagons."""
     summary = fuzz_hexagons(cfg)
-    payload = {"schema": "fuzz/1", **dataclasses.asdict(summary)}
+    payload = {"schema": "fuzz/1", **_fields(summary)}
+    if summary.first_failure is not None:
+        payload["first_failure"] = _fields(summary.first_failure)
     code = EXIT_OK if summary.failures == 0 else EXIT_VIOLATION
     return code, _dumps(payload)
 
@@ -254,7 +316,7 @@ def cmd_proposition(m: int, steps: int, tolerance: float) -> tuple[int, str]:
     report = verify_proposition(m, steps, rel_tol=tolerance)
     payload = {
         "schema": "proposition/1",
-        **dataclasses.asdict(report),
+        **_fields(report),
         "steps": steps,
         "passed": report.passed,
         "centroids": [_complex_json(z) for z in report.centroids],
@@ -430,7 +492,7 @@ def _build_parser() -> argparse.ArgumentParser:
     p_fz.add_argument("--bound", type=int, dest="coordinate_bound", metavar="BOUND")
     p_fz.add_argument("--steps", type=int)
     p_fz.add_argument("--output", default=None)
-    p_fz.set_defaults(run=lambda a: cmd_fuzz(_config(FuzzConfig, a)), **dataclasses.asdict(FuzzConfig()))
+    p_fz.set_defaults(run=lambda a: cmd_fuzz(_config(FuzzConfig, a)), **_fields(FuzzConfig()))
 
     p_pr = sub.add_parser("proposition", help="slope counterexample check for m-gons")
     p_pr.add_argument("m", type=int, help="vertex count (5 or at least 7)")
@@ -451,7 +513,7 @@ def _build_parser() -> argparse.ArgumentParser:
     p_fg.add_argument("--height", type=int)
     p_fg.set_defaults(
         run=lambda a: cmd_figure(_read_document(a.input), _config(FigureSpec, a)),
-        **dataclasses.asdict(FigureSpec()),
+        **_fields(FigureSpec()),
     )
     return parser
 

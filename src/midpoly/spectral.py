@@ -9,13 +9,16 @@ the eigenvalue per step.
 
 The transform is computed by direct O(m^2) summation; desk scale here is
 m <= 64, where simplicity and accuracy beat speed. Work in mode
-coordinates touches only a mode vector's support, the indices of its
-nonzero coefficients: the midpoint map keeps a zero mode zero, so an
-orbit keeps its support, and `z_from_modes` costs O(m + k^2) for k
-nonzero modes instead of O(m^2). Skipping a zero term leaves every sum
-bit-identical to the dense one, given finite coefficients whose products
-do not overflow. Conversion from the exact representation is explicit
-and one way: nothing in this package converts floats back to rationals.
+coordinates touches only a mode vector's support, the ascending indices
+of its nonzero coefficients, which the vector carries: the midpoint map
+keeps a zero mode zero, so an orbit keeps its support. For k nonzero
+modes `area_from_modes` costs O(k), `z_from_modes` O(k^2) and
+`advance_modes` O(k) plus one C-level copy of the m coefficients,
+instead of O(m) or O(m^2) Python steps. Skipping a zero term leaves every
+sum bit-identical to the dense one, given finite coefficients whose
+products do not overflow. Conversion from the exact representation is
+explicit and one way: nothing in this package converts floats back to
+rationals.
 
 Default tolerances, used by callers and tests: 1e-12 absolute for
 round-trips and eigen-relations, 1e-9 relative (with a 1e-12 absolute
@@ -28,7 +31,8 @@ from __future__ import annotations
 
 import cmath
 import math
-from dataclasses import dataclass
+from dataclasses import dataclass, field
+from itertools import compress
 
 from .errors import DegenerateDenominatorError, PolygonDocumentError, WrongSizeError
 from .exact_poly import Polygon
@@ -66,13 +70,21 @@ class FloatPolygon:
 
 @dataclass(frozen=True)
 class ModeVector:
-    """Mode coefficients xi_0 .. xi_{m-1} of an m-gon."""
+    """Mode coefficients xi_0 .. xi_{m-1} of an m-gon.
+
+    support holds the ascending indices of the nonzero coefficients. It is
+    derived from the coefficients and takes no part in equality, hashing
+    or repr.
+    """
 
     coefficients: tuple[complex, ...]
+    support: tuple[int, ...] = field(init=False, repr=False, compare=False)
 
     def __post_init__(self):
         if len(self.coefficients) < 1:
             raise WrongSizeError("a mode vector needs at least one coefficient")
+        support = tuple(compress(range(len(self.coefficients)), self.coefficients))
+        object.__setattr__(self, "support", support)
 
     @property
     def m(self) -> int:
@@ -147,14 +159,25 @@ def advance_modes(mv: ModeVector, n: int) -> ModeVector:
     """Apply n midpoint steps in mode coordinates: xi_j -> lambda_j^n xi_j.
 
     Zero coefficients pass through unchanged, so eigenvalues are computed
-    for the support only.
+    for the support only: O(k) for k nonzero modes, plus one C-level copy
+    of the m coefficients. The new support is the old one less any mode
+    whose coefficient underflows to zero; the coefficients are not
+    rescanned.
     """
     if n < 0:
         raise ValueError("step count must be nonnegative")
     m = mv.m
-    return ModeVector(
-        tuple(eigenvalue(m, j) ** n * c if c else c for j, c in enumerate(mv.coefficients))
-    )
+    coeffs = list(mv.coefficients)
+    support = []
+    for j in mv.support:
+        c = eigenvalue(m, j) ** n * coeffs[j]
+        coeffs[j] = c
+        if c:
+            support.append(j)
+    out = object.__new__(ModeVector)
+    object.__setattr__(out, "coefficients", tuple(coeffs))
+    object.__setattr__(out, "support", tuple(support))
+    return out
 
 
 def z_from_modes(mv: ModeVector) -> complex:
@@ -166,12 +189,12 @@ def z_from_modes(mv: ModeVector) -> complex:
 
     Only triples whose three indices p, q and q - p all lie in the
     support (nonzero coefficients) are summed, in ascending (p, q) order:
-    O(m + k^2) for k nonzero modes, and bit-identical to the full m^2 sum
+    O(k^2) for k nonzero modes, and bit-identical to the full m^2 sum
     for finite coefficients whose products do not overflow.
     """
     m = mv.m
     xi = mv.coefficients
-    im_omega = {j: root_of_unity(m, j).imag for j, c in enumerate(xi) if c}  # keyed by the support
+    im_omega = {j: root_of_unity(m, j).imag for j in mv.support}
     total = 0j
     for p in im_omega:
         for q in im_omega:
@@ -189,13 +212,15 @@ def area_from_modes(mv: ModeVector) -> float:
     Only the diagonal terms of the quadratic expansion survive the sum
     over vertices. For hexagons this reads
     (3*sqrt(3)/2) * (|xi_1|^2 - |xi_5|^2 + |xi_2|^2 - |xi_4|^2).
-    Zero coefficients are skipped; coefficients are assumed finite.
+    Only the support is visited, O(k) for k nonzero modes; coefficients
+    are assumed finite.
     """
     m = mv.m
+    xi = mv.coefficients
     total = 0.0
-    for j, c in enumerate(mv.coefficients):
-        if c:
-            total += (c.real * c.real + c.imag * c.imag) * root_of_unity(m, j).imag
+    for j in mv.support:
+        c = xi[j]
+        total += (c.real * c.real + c.imag * c.imag) * root_of_unity(m, j).imag
     return 0.5 * m * total
 
 

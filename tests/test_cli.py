@@ -1,7 +1,9 @@
 """Document parsing, report serialization, exit codes, and SVG output."""
 
+import dataclasses
 import hashlib
 import json
+import math
 import re
 import sys
 import tempfile
@@ -23,6 +25,7 @@ from midpoly.cli import (
     FIGURE_MAX_STEPS,
     ITERATE_MAX_STEPS,
     FigureSpec,
+    _dumps,
     cmd_figure,
     cmd_fuzz,
     cmd_iterate,
@@ -49,6 +52,7 @@ from midpoly.verify import (
     PROPOSITION_MAX_STEPS,
     VERIFY_MAX_STEPS,
     FuzzConfig,
+    fuzz_hexagons,
 )
 
 HEX_DOC = {
@@ -304,6 +308,64 @@ class TestFuzzCommand:
         assert data["z_scaling_failures"] == 5
         assert data["first_failure"]["trial"] == 0
         assert data["first_failure"]["reason"] == "moment scaling Z(Mv) != (3/8) Z(v) after projection"
+
+    def test_failure_report_matches_json_module(self, monkeypatch):
+        import midpoly.verify
+
+        monkeypatch.setattr(midpoly.verify, "_z_scaling_holds", lambda xs, ys: False)
+        cfg = FuzzConfig(seed=42, trials=5, coordinate_bound=9, steps=8)
+        code, text = cmd_fuzz(cfg)
+        reference = {"schema": "fuzz/1", **dataclasses.asdict(fuzz_hexagons(cfg))}
+        assert reference["first_failure"] is not None
+        assert text == json.dumps(reference, indent=2, sort_keys=True) + "\n"
+
+
+# JSON-like values: every leaf type the report writer takes, the edge
+# cases of each among them, nested in lists, tuples and str-keyed dicts.
+json_leaves = st.one_of(
+    st.none(),
+    st.booleans(),
+    st.integers(),
+    st.integers(min_value=2**64, max_value=2**256).flatmap(lambda n: st.sampled_from([n, -n])),
+    st.floats(),
+    st.sampled_from([math.nan, math.inf, -math.inf, -0.0, 5e-324, -2.2250738585072e-308]),
+    st.text(),
+    st.sampled_from(["", "\x00\x1f\x7f", '"\\/\b\f\n\r\t', "é€\U0001f600", "\ud800"]),
+)
+json_values = st.recursive(
+    json_leaves,
+    lambda children: st.one_of(
+        st.lists(children, max_size=4),
+        st.lists(children, max_size=4).map(tuple),
+        st.dictionaries(st.text(max_size=6), children, max_size=4),
+    ),
+    max_leaves=25,
+)
+
+
+class TestReportWriter:
+    """_dumps prints what json.dumps(indent=2, sort_keys=True) prints, plus a newline."""
+
+    @settings(max_examples=500, deadline=None)
+    @given(json_values)
+    @example([])
+    @example({})
+    @example(((), {}, [[]], {"b": {}, "a": ()}))
+    @example({"\u00e9": [True, False, None, 0, -0.0, 2**64 + 1]})
+    def test_matches_json_module(self, value):
+        assert _dumps(value) == json.dumps(value, indent=2, sort_keys=True) + "\n"
+
+    @pytest.mark.parametrize("leaf", [1 + 2j, Fraction(1, 3), {1, 2}, b"bytes"])
+    def test_unsupported_leaf_raises_type_error(self, leaf):
+        with pytest.raises(TypeError):
+            json.dumps(leaf)
+        for value in (leaf, [1, leaf], {"k": (leaf,)}):
+            with pytest.raises(TypeError):
+                _dumps(value)
+
+    def test_non_string_key_raises_type_error(self):
+        with pytest.raises(TypeError):
+            _dumps({1: "one"})
 
 
 class TestPropositionCommand:

@@ -327,13 +327,41 @@ class TestSparseSupport:
     """The mode sums visit only nonzero modes and match the dense sums bit for bit."""
 
     @settings(max_examples=300, deadline=None)
+    @given(sparse_mode_vectors(), st.lists(st.integers(min_value=0, max_value=300), min_size=1, max_size=4))
+    def test_matches_dense_sums(self, mv, steps):
+        # each advance starts from the support the previous one carried
+        advanced, dense = mv, mv
+        assert z_from_modes(mv) == dense_z_from_modes(mv)
+        assert area_from_modes(mv) == dense_area_from_modes(mv)
+        for n in steps:
+            advanced = advance_modes(advanced, n)
+            dense = dense_advance_modes(dense, n)
+            assert advanced == dense
+            assert z_from_modes(advanced) == dense_z_from_modes(dense)
+            assert area_from_modes(advanced) == dense_area_from_modes(dense)
+
+    @settings(max_examples=300, deadline=None)
     @given(sparse_mode_vectors(), st.integers(min_value=0, max_value=300))
-    def test_matches_dense_sums(self, mv, n):
-        advanced = advance_modes(mv, n)
-        assert advanced == dense_advance_modes(mv, n)
-        for v in (mv, advanced):
-            assert z_from_modes(v) == dense_z_from_modes(v)
-            assert area_from_modes(v) == dense_area_from_modes(v)
+    def test_support_is_nonzero_indices(self, mv, n):
+        # signed zeros are zero; the carried support equals a fresh scan
+        for v in (mv, advance_modes(mv, n)):
+            assert v.support == tuple(j for j, c in enumerate(v.coefficients) if c != 0)
+
+    def test_underflow_leaves_support(self):
+        mv = ModeVector((0j, 0j, 0j, 1 + 0j, 0j, 0j))
+        # lambda_3 = 6.1e-17j: subnormal after 19 steps, zero after 20
+        assert advance_modes(mv, 19).support == (3,)
+        assert advance_modes(mv, 19)[3] != 0
+        assert advance_modes(mv, 20).support == ()
+        assert advance_modes(advance_modes(mv, 10), 10).support == ()
+        assert z_from_modes(advance_modes(mv, 20)) == 0j
+
+    def test_support_outside_equality_hash_and_repr(self):
+        mv = ModeVector((0j, 1j, complex(-0.0, 0.0)))
+        assert mv.support == (1,)
+        same = advance_modes(mv, 0)
+        assert same == mv and hash(same) == hash(mv)
+        assert repr(mv) == "ModeVector(coefficients=(0j, 1j, (-0+0j)))"
 
     def test_zero_modes_pass_through(self):
         # signed zeros included: a zero mode is returned as it came in
