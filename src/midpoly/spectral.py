@@ -19,12 +19,6 @@ sum bit-identical to the dense one, given finite coefficients whose
 products do not overflow. Conversion from the exact representation is
 explicit and one way: nothing in this package converts floats back to
 rationals.
-
-Default tolerances, used by callers and tests: 1e-12 absolute for
-round-trips and eigen-relations, 1e-9 relative (with a 1e-12 absolute
-floor) for the triply-nonlinear moment and centroid quantities, which
-lose roughly three digits over machine precision. Comparison helpers
-accept overrides.
 """
 
 from __future__ import annotations
@@ -36,10 +30,6 @@ from itertools import compress
 
 from .errors import DegenerateDenominatorError, PolygonDocumentError, WrongSizeError
 from .exact_poly import Polygon
-
-ROUND_TRIP_TOL = 1e-12
-MOMENT_REL_TOL = 1e-9
-MOMENT_ABS_FLOOR = 1e-12
 
 _SQRT3 = math.sqrt(3.0)
 
@@ -268,9 +258,3 @@ def triple_product(m: int, p: int, q: int) -> float:
         + root_of_unity(m, q - p).real
     )
     return re / 4.0
-
-
-def relative_close(a: float, b: float, rel: float = MOMENT_REL_TOL, floor: float = MOMENT_ABS_FLOOR) -> bool:
-    """abs(a - b) within rel of magnitude, with an absolute floor."""
-    return abs(a - b) <= max(floor, rel * max(abs(a), abs(b)))
-

@@ -43,14 +43,12 @@ from .exact_poly import (
     lattice_projection,
     to_homogeneous,
     to_lattice,
-    vertex_centroid,
 )
 from .spectral import (
     FloatPolygon,
     ModeVector,
     advance_modes,
     area_from_modes,
-    relative_close,
     root_of_unity,
     z_from_modes,
 )
@@ -64,9 +62,12 @@ PROPOSITION_MAX_STEPS = 2000
 # verify_hexagon_theorem's iterate n has numbers of about 2.6 n bits.
 VERIFY_MAX_STEPS = 2000
 # Cost bounds of fuzz_hexagons, linear in the trials: a trial of 200
-# steps takes about 2 ms, of the default 12 steps about 0.1 ms.
+# steps takes about 2 ms, of the default 12 steps about 0.1 ms. The
+# coordinate bound sets the numbers' starting size, so its cost grows
+# with its digits: about 1.8 ms a trial at 200 steps up to 10**9.
 FUZZ_MAX_TRIALS = 10_000
 FUZZ_MAX_STEPS = 200
+FUZZ_MAX_BOUND = 10**9
 
 
 class LineCheck(NamedTuple):
@@ -99,24 +100,23 @@ def _on_line(q: Homogeneous, anchor: Homogeneous, direction: Homogeneous | None)
     return qw * (ax * dy - ay * dx) == aw * (qx * dy - qy * dx)
 
 
-def _fit_line(points: Sequence[Homogeneous]) -> tuple[Homogeneous | None, int | None, int | None]:
+def _fit_line(points: Sequence[Homogeneous]) -> tuple[Homogeneous | None, int | None]:
     """Anchor a line at points[0], directed toward the first distinct point.
 
-    Returns the direction (None when all points coincide), the position
-    of the point that fixed it, and the position of the first point off
-    the line (None when all are on it).
+    Returns the direction from the anchor to that point (None when all
+    points coincide) and the position of the first point off the line
+    (None when all are on it).
     """
     anchor = points[0]
     direction: Homogeneous | None = None
-    through: int | None = None
     for pos in range(1, len(points)):
         q = points[pos]
         if direction is None:
             if not _same_point(q, anchor):
-                direction, through = _direction(anchor, q), pos
+                direction = _direction(anchor, q)
         elif not _on_line(q, anchor, direction):
-            return direction, through, pos
-    return direction, through, None
+            return direction, pos
+    return direction, None
 
 
 def exact_colinear(points: Sequence[PlanePoint]) -> LineCheck:
@@ -130,7 +130,7 @@ def exact_colinear(points: Sequence[PlanePoint]) -> LineCheck:
     """
     if len(points) < 1:
         raise ValueError("need at least one point")
-    _, _, violation = _fit_line([to_homogeneous(q) for q in points])
+    _, violation = _fit_line([to_homogeneous(q) for q in points])
     return LineCheck(violation is None, violation)
 
 
@@ -146,28 +146,38 @@ class ColinearityReport:
     The points are homogeneous integer triples (x, y, w) with w > 0, as
     the lattice kernel computes them. orbit[n] is the centroid of the
     n-th iterate or None where the area vanishes; limit is the vertex
-    centroid. The line is anchored at the first defined centroid with
-    index >= 1, directed toward the next defined distinct one, or toward
-    the limit when all defined centroids coincide (two points always
-    share a line). direction is the rational vector from the anchor to
-    that point, or None when the limit coincides with them too;
-    membership then means equality with the anchor. g0_on_line is None
-    when the initial centroid is undefined. failure is None when the
-    check passes, else the reason it fails.
+    centroid. anchor is the first defined centroid with index >= 1.
+    direction is the vector from the anchor to the next defined distinct
+    centroid, or to the limit when all defined centroids coincide (two
+    points always share a line), or None when the limit coincides with
+    them too; membership then means equality with the anchor.
+    first_violation is the index of the first defined centroid off the
+    line, or None; g0_on_line is None when the initial centroid is
+    undefined.
 
-    centroids, line_anchor, line_direction and limit_point are the same
-    values as PlanePoints, built on demand.
+    all_colinear, failure and passed are derived from first_violation
+    and limit_on_line. centroids, line_anchor, line_direction and
+    limit_point are the same values as PlanePoints, built on demand.
     """
 
     orbit: tuple[Homogeneous | None, ...]
     anchor: Homogeneous
     direction: Homogeneous | None
-    all_colinear: bool
     first_violation: int | None
     g0_on_line: bool | None
     limit: Homogeneous
     limit_on_line: bool
-    failure: str | None
+
+    @property
+    def all_colinear(self) -> bool:
+        return self.first_violation is None
+
+    @property
+    def failure(self) -> str | None:
+        """Why the theorem check fails, or None when it passes."""
+        if self.first_violation is not None:
+            return f"centroids not colinear, first violation at iterate {self.first_violation}"
+        return None if self.limit_on_line else "vertex centroid off the centroid line"
 
     @property
     def passed(self) -> bool:
@@ -194,47 +204,30 @@ class ColinearityReport:
         return _on_line(to_homogeneous(q), self.anchor, self.direction)
 
 
-class _LineVerdict(NamedTuple):
-    """The colinearity decision on homogeneous centroids, by iterate index.
+def _decide_line(orbit: tuple[Homogeneous | None, ...], limit: Homogeneous) -> ColinearityReport:
+    """The theorem check on homogeneous centroids G_0 .. G_n and their limit.
 
-    through is the index of the point that fixed the line's direction;
-    len(centroids) stands for the limit, which follows G_0 .. G_n.
+    Fits one line to the defined centroids past G_0, then the limit:
+    the limit lies on the true line, so it fixes the direction only when
+    every defined centroid coincides. Raises InsufficientDataError when
+    fewer than two centroids past G_0 are defined.
     """
-
-    anchor: int
-    through: int | None
-    first_violation: int | None
-    g0_on_line: bool | None
-    limit_on_line: bool
-
-    @property
-    def failure(self) -> str | None:
-        """Why the theorem check fails, or None when it passes."""
-        if self.first_violation is not None:
-            return f"centroids not colinear, first violation at iterate {self.first_violation}"
-        return None if self.limit_on_line else "vertex centroid off the centroid line"
-
-
-def _decide_line(centroids: Sequence[Homogeneous | None], limit: Homogeneous) -> _LineVerdict:
-    """Fit one line through the defined centroids past G_0, then the limit.
-
-    The limit lies on the true line, so it fixes the direction only when
-    every defined centroid coincides.
-    """
-    defined = [n for n, g in enumerate(centroids) if n >= 1 and g is not None]
+    defined = [n for n, g in enumerate(orbit) if n >= 1 and g is not None]
     if len(defined) < 2:
         raise InsufficientDataError(
             f"only {len(defined)} defined centroids past the first iterate"
         )
-    direction, through, violation = _fit_line([centroids[n] for n in defined] + [limit])
-    slots = defined + [len(centroids)]  # iterate indices, then the limit's
-    anchor = centroids[defined[0]]
-    g0 = centroids[0]
-    return _LineVerdict(
-        anchor=defined[0],
-        through=None if through is None else slots[through],
+    direction, violation = _fit_line([orbit[n] for n in defined] + [limit])
+    anchor = orbit[defined[0]]
+    g0 = orbit[0]
+    return ColinearityReport(
+        orbit=orbit,
+        anchor=anchor,
+        direction=direction,
+        # position len(defined) is the limit's, which is not an iterate
         first_violation=None if violation in (None, len(defined)) else defined[violation],
         g0_on_line=None if g0 is None else _on_line(g0, anchor, direction),
+        limit=limit,
         limit_on_line=_on_line(limit, anchor, direction),
     )
 
@@ -255,22 +248,7 @@ def verify_hexagon_theorem(p: Polygon, n: int) -> ColinearityReport:
     if n > VERIFY_MAX_STEPS:
         raise ValueError(f"at most {VERIFY_MAX_STEPS} iterations, got {n}")
     scale, xs, ys = to_lattice(p)
-    orbit = tuple(lattice_centroids(scale, xs, ys, n))
-    limit = (sum(xs), sum(ys), 6 * scale)
-    verdict = _decide_line(orbit, limit)
-    points = (*orbit, limit)
-    anchor = points[verdict.anchor]
-    return ColinearityReport(
-        orbit=orbit,
-        anchor=anchor,
-        direction=None if verdict.through is None else _direction(anchor, points[verdict.through]),
-        all_colinear=verdict.first_violation is None,
-        first_violation=verdict.first_violation,
-        g0_on_line=verdict.g0_on_line,
-        limit=limit,
-        limit_on_line=verdict.limit_on_line,
-        failure=verdict.failure,
-    )
+    return _decide_line(tuple(lattice_centroids(scale, xs, ys, n)), (sum(xs), sum(ys), 6 * scale))
 
 
 def _z_scaling_holds(xs: Sequence[int], ys: Sequence[int]) -> bool:
@@ -304,13 +282,13 @@ def verify_small_m_invariance(p: Polygon, n: int) -> bool:
     m = len(p)
     if m not in (3, 4):
         raise WrongSizeError(f"expected a triangle or quadrilateral, got {m} vertices")
-    seq = centroid_sequence(p, n)
+    scale, xs, ys = to_lattice(p)
     start = 0 if m == 3 else 1
-    required = seq[start:]
+    required = lattice_centroids(scale, xs, ys, n)[start:]
     if any(g is None for g in required):
         raise AreaZeroError(f"zero-area iterate among steps {start}..{n}")
-    target = vertex_centroid(p) if m == 3 else required[0]
-    return all(g == target for g in required)
+    target = (sum(xs), sum(ys), m * scale) if m == 3 else required[0]
+    return all(_same_point(g, target) for g in required)
 
 
 def counterexample_modes(m: int) -> ModeVector:
@@ -385,8 +363,8 @@ def verify_proposition(m: int, n: int, rel_tol: float = RATIO_REL_TOL) -> Counte
 
     Computes Z of each iterate in mode coordinates, forms the slope
     sequence s_0 .. s_n, and checks that every successive ratio matches
-    the expected value within rel_tol and that all slopes are pairwise
-    distinct. rel_tol must be finite and nonnegative, m at most
+    the expected value within rel_tol of the larger magnitude, with a
+    1e-12 absolute floor, and that all slopes are pairwise distinct. rel_tol must be finite and nonnegative, m at most
     PROPOSITION_MAX_M and n at most PROPOSITION_MAX_STEPS. Raises
     InsufficientDataError when a part of Z underflows to zero, since the
     slope is then undefined or meaningless.
@@ -414,7 +392,7 @@ def verify_proposition(m: int, n: int, rel_tol: float = RATIO_REL_TOL) -> Counte
         overlays.append(None if area == 0.0 else z / (6.0 * area))
 
     ratios = tuple(slopes[i + 1] / slopes[i] for i in range(n))
-    ratio_ok = all(relative_close(r, expected, rel=rel_tol) for r in ratios)
+    ratio_ok = all(abs(r - expected) <= max(1e-12, rel_tol * max(abs(r), abs(expected))) for r in ratios)
     # left to right: sum() over floats is compensated from Python 3.12 on,
     # which would make the printed mean depend on the Python version
     total = 0.0
@@ -440,7 +418,8 @@ class FuzzConfig:
     Vertices are drawn with independent integer coordinates uniform on
     [-coordinate_bound, coordinate_bound]^2; trial t uses the random
     stream seeded by (seed, t), so trials are order-independent. trials
-    is at most FUZZ_MAX_TRIALS and steps at most FUZZ_MAX_STEPS.
+    is at most FUZZ_MAX_TRIALS, coordinate_bound at most FUZZ_MAX_BOUND
+    and steps at most FUZZ_MAX_STEPS.
     """
 
     seed: int = 42
@@ -455,6 +434,8 @@ class FuzzConfig:
             raise ValueError(f"at most {FUZZ_MAX_TRIALS} trials, got {self.trials}")
         if self.coordinate_bound < 1:
             raise ValueError("coordinate bound must be at least 1")
+        if self.coordinate_bound > FUZZ_MAX_BOUND:
+            raise ValueError(f"coordinate bound must be at most {FUZZ_MAX_BOUND}, got {self.coordinate_bound}")
         if self.steps < 2:
             raise ValueError("steps must be at least 2")
         if self.steps > FUZZ_MAX_STEPS:
@@ -526,18 +507,18 @@ def fuzz_hexagons(cfg: FuzzConfig) -> FuzzSummary:
         xs = [x for x, _ in coords]
         ys = [y for _, y in coords]
 
-        seq = lattice_centroids(1, xs, ys, cfg.steps)
-        counts["undefined_centroids"] += seq.count(None)
+        orbit = tuple(lattice_centroids(1, xs, ys, cfg.steps))
+        counts["undefined_centroids"] += orbit.count(None)
 
         reason = None
         try:
-            verdict = _decide_line(seq, (sum(xs), sum(ys), 6))
+            report = _decide_line(orbit, (sum(xs), sum(ys), 6))
         except InsufficientDataError:
             counts["insufficient_data"] += 1
         else:
-            if verdict.g0_on_line is not None:
-                counts["g0_on_line_true" if verdict.g0_on_line else "g0_on_line_false"] += 1
-            reason = verdict.failure
+            if report.g0_on_line is not None:
+                counts["g0_on_line_true" if report.g0_on_line else "g0_on_line_false"] += 1
+            reason = report.failure
             counts["theorem_passes" if reason is None else "theorem_failures"] += 1
 
         z_ok = _z_scaling_holds(xs, ys)

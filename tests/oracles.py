@@ -4,11 +4,14 @@ These deliberately avoid the code paths they check: the centroid oracle
 uses a triangle-fan decomposition instead of the shoelace sums, the
 Fraction loops compute on rationals where `exact_poly` computes on the
 integer lattice, the dense mode sums visit every mode where the
-spectral layer visits only the nonzero ones, and the slope distinctness
-check compares every pair where `verify` compares sorted neighbours.
+spectral layer visits only the nonzero ones, the line verdict tests each
+point against a Fraction cross product where `verify` fits the line on
+integer triples, and the slope distinctness check compares every pair
+where `verify` compares sorted neighbours.
 """
 
 from fractions import Fraction as F
+from typing import NamedTuple
 
 from midpoly import AreaZeroError, ModeVector, PlanePoint, Polygon, eigenvalue, root_of_unity
 from midpoly.verify import SLOPE_DISTINCT_TOL
@@ -96,6 +99,52 @@ def fraction_vertex_centroid(p: Polygon) -> PlanePoint:
     """The vertex mean, summed in Fractions."""
     m = len(p)
     return PlanePoint(sum(v.x for v in p) / m, sum(v.y for v in p) / m)
+
+
+class FractionLineVerdict(NamedTuple):
+    first_violation: int | None
+    g0_on_line: bool | None
+    limit_on_line: bool
+    direction: PlanePoint | None
+    failure: str | None
+
+
+def fraction_line_verdict(seq: list[PlanePoint | None], limit: PlanePoint) -> FractionLineVerdict | None:
+    """The hexagon theorem's verdict on Fraction centroids G_0 .. G_n and their limit.
+
+    None marks an undefined centroid in seq, and the result is None when
+    fewer than two centroids past G_0 are defined. The line is anchored
+    at the first defined centroid past G_0 and directed toward the first
+    later point that differs from it, the limit included. Membership is
+    a Fraction cross product, tested on every point separately.
+    """
+    defined = [(n, g) for n, g in enumerate(seq) if n >= 1 and g is not None]
+    if len(defined) < 2:
+        return None
+    anchor = defined[0][1]
+    candidates = [g for _, g in defined] + [limit]
+    direction = next((g - anchor for g in candidates if g != anchor), None)
+
+    def member(q):
+        if direction is None:
+            return q == anchor
+        return (q - anchor).cross(direction) == 0
+
+    violation = next((n for n, g in defined if not member(g)), None)
+    limit_on_line = member(limit)
+    if violation is not None:
+        failure = f"centroids not colinear, first violation at iterate {violation}"
+    elif not limit_on_line:
+        failure = "vertex centroid off the centroid line"
+    else:
+        failure = None
+    return FractionLineVerdict(
+        first_violation=violation,
+        g0_on_line=None if seq[0] is None else member(seq[0]),
+        limit_on_line=limit_on_line,
+        direction=direction,
+        failure=failure,
+    )
 
 
 def fraction_project_out_modes_0_3(p: Polygon) -> Polygon:

@@ -46,6 +46,7 @@ from midpoly.errors import (
 from midpoly.exact_poly import Polygon
 from midpoly.spectral import to_float_polygon
 from midpoly.verify import (
+    FUZZ_MAX_BOUND,
     FUZZ_MAX_STEPS,
     FUZZ_MAX_TRIALS,
     PROPOSITION_MAX_M,
@@ -698,6 +699,8 @@ class TestMainEntry:
              f"at most {FUZZ_MAX_TRIALS} trials, got {FUZZ_MAX_TRIALS + 1}"),
             (["fuzz", "--steps", str(FUZZ_MAX_STEPS + 1)],
              f"at most {FUZZ_MAX_STEPS} iterations, got {FUZZ_MAX_STEPS + 1}"),
+            (["fuzz", "--bound", str(FUZZ_MAX_BOUND + 1)],
+             f"coordinate bound must be at most {FUZZ_MAX_BOUND}, got {FUZZ_MAX_BOUND + 1}"),
             (["iterate", "HEX", "--steps", str(ITERATE_MAX_STEPS + 1)],
              f"at most {ITERATE_MAX_STEPS} iterations, got {ITERATE_MAX_STEPS + 1}"),
             (["iterate", "HEX", "--steps", str(ITERATE_MAX_STEPS + 1), "--mode", "float"],
@@ -705,7 +708,7 @@ class TestMainEntry:
             (["figure", "HEX", "--steps", str(FIGURE_MAX_STEPS + 1), "--output", "OUT"],
              f"at most {FIGURE_MAX_STEPS} iterations, got {FIGURE_MAX_STEPS + 1}"),
         ],
-        ids=["fuzz-trials", "fuzz-steps", "iterate-steps", "iterate-float-steps", "figure-steps"],
+        ids=["fuzz-trials", "fuzz-steps", "fuzz-bound", "iterate-steps", "iterate-float-steps", "figure-steps"],
     )
     def test_cost_limits_exit_usage(self, argv, message, tmp_path, capsys):
         hex_path = self.write(tmp_path, "hex.json", HEX_DOC)
@@ -721,9 +724,10 @@ class TestMainEntry:
         "argv",
         [
             ["fuzz", "--trials", "3", "--steps", str(FUZZ_MAX_STEPS)],
+            ["fuzz", "--trials", "3", "--bound", str(FUZZ_MAX_BOUND)],
             ["iterate", "HEX", "--steps", str(ITERATE_MAX_STEPS), "--mode", "float"],
         ],
-        ids=["fuzz-steps", "iterate-float-steps"],
+        ids=["fuzz-steps", "fuzz-bound", "iterate-float-steps"],
     )
     def test_cost_limits_are_inclusive(self, argv, tmp_path, capsys):
         hex_path = self.write(tmp_path, "hex.json", HEX_DOC)
@@ -778,7 +782,11 @@ options = {
         "--mode": st.sampled_from(["exact", "float", "x"]),
     },
     "verify": {"--steps": small_ints | st.just(str(VERIFY_MAX_STEPS + 1))},
-    "fuzz": {"--seed": small_ints, "--bound": small_ints, "--steps": small_ints | st.just(str(FUZZ_MAX_STEPS + 1))},
+    "fuzz": {
+        "--seed": small_ints,
+        "--bound": small_ints | st.just(str(FUZZ_MAX_BOUND + 1)),
+        "--steps": small_ints | st.just(str(FUZZ_MAX_STEPS + 1)),
+    },
     "proposition": {
         "--steps": small_ints | st.just(str(PROPOSITION_MAX_STEPS + 1)),
         "--tolerance": st.sampled_from(["1e-9", "0", "-1", "nan", "inf", "x"]),

@@ -37,6 +37,7 @@ from midpoly.verify import (
     SLOPE_DISTINCT_TOL,
     FuzzFailure,
     FuzzSummary,
+    _decide_line,
     random_integer_polygon,
     slopes_pairwise_distinct,
     trial_rng,
@@ -46,6 +47,7 @@ from oracles import (
     fan_centroid,
     fraction_centroid_or_none,
     fraction_iterate,
+    fraction_line_verdict,
     fraction_midpoint_map,
     fraction_project_out_modes_0_3,
     fraction_vertex_centroid,
@@ -99,32 +101,15 @@ def reference_fuzz(cfg: FuzzConfig) -> FuzzSummary:
         poly = random_integer_polygon(trial_rng(cfg.seed, trial), 6, cfg.coordinate_bound)
         seq = [fraction_centroid_or_none(q) for q in fraction_iterate(poly, cfg.steps)]
         counts["undefined_centroids"] += seq.count(None)
-        defined = [(n, g) for n, g in enumerate(seq) if n >= 1 and g is not None]
+        verdict = fraction_line_verdict(seq, fraction_vertex_centroid(poly))
         reason = None
-        if len(defined) < 2:
+        if verdict is None:
             counts["insufficient_data"] += 1
         else:
-            anchor = defined[0][1]
-            # when every defined centroid coincides, the line runs to the limit
-            candidates = [g for _, g in defined] + [fraction_vertex_centroid(poly)]
-            direction = next((g - anchor for g in candidates if g != anchor), None)
-
-            def member(q, anchor=anchor, direction=direction):
-                if direction is None:
-                    return q == anchor
-                return (q - anchor).cross(direction) == 0
-
-            violation = next((n for n, g in defined if not member(g)), None)
-            if seq[0] is not None:
-                counts["g0_on_line_true" if member(seq[0]) else "g0_on_line_false"] += 1
-            if violation is None and member(fraction_vertex_centroid(poly)):
-                counts["theorem_passes"] += 1
-            else:
-                counts["theorem_failures"] += 1
-                if violation is not None:
-                    reason = f"centroids not colinear, first violation at iterate {violation}"
-                else:
-                    reason = "vertex centroid off the centroid line"
+            if verdict.g0_on_line is not None:
+                counts["g0_on_line_true" if verdict.g0_on_line else "g0_on_line_false"] += 1
+            reason = verdict.failure
+            counts["theorem_passes" if reason is None else "theorem_failures"] += 1
         reduced = fraction_project_out_modes_0_3(poly)
         z0, z1 = fraction_z_moment(reduced), fraction_z_moment(fraction_midpoint_map(reduced))
         if z1.x * 8 == z0.x * 3 and z1.y * 8 == z0.y * 3:
@@ -260,6 +245,41 @@ class TestLatticeKernel:
         if cfg.coordinate_bound == 1:
             assert summary.insufficient_data > 0
             assert summary.undefined_centroids > 0
+
+
+# Hand-built orbits of homogeneous triples (x, y, w) with their limit, for
+# the verdict's failing branches, which no real hexagon reaches: the
+# expected first violation and whether the check passes.
+VERDICT_CASES = {
+    "violation-after-undefined": (
+        ((0, 0, 1), (0, 0, 1), None, (2, 0, 2), None, (5, 1, 1), (2, 0, 1)), (3, 0, 1), 5, False),
+    "violation-at-last-iterate": (
+        (None, (0, 0, 1), (1, 1, 1), (4, 4, 2), (3, 4, 1)), (-1, -1, 1), 4, False),
+    "limit-off-line": (((7, 7, 1), (0, 0, 1), (1, 1, 1), None, (2, 2, 1)), (1, 0, 1), None, False),
+    "all-equal-to-limit": (((1, 2, 1), (2, 4, 2), None, (3, 6, 3)), (1, 2, 1), None, True),
+    "all-equal-distinct-limit": (((5, 5, 1), (1, 1, 1), (2, 2, 2), (1, 1, 1)), (0, 3, 1), None, True),
+    "too-few-defined": (((0, 0, 1), None, (1, 1, 1), None), (1, 1, 1), None, None),
+}
+
+
+class TestDecideLine:
+    @pytest.mark.parametrize("orbit, limit, violation, passed", VERDICT_CASES.values(), ids=VERDICT_CASES.keys())
+    def test_matches_fraction_rule(self, orbit, limit, violation, passed):
+        want = fraction_line_verdict(
+            [None if g is None else from_homogeneous(g) for g in orbit], from_homogeneous(limit))
+        if passed is None:
+            assert want is None
+            with pytest.raises(InsufficientDataError):
+                _decide_line(orbit, limit)
+            return
+        report = _decide_line(orbit, limit)
+        assert (report.first_violation, report.passed) == (violation, passed)
+        assert report.all_colinear == (violation is None)
+        assert report.first_violation == want.first_violation
+        assert report.g0_on_line == want.g0_on_line
+        assert report.limit_on_line == want.limit_on_line
+        assert report.line_direction == want.direction
+        assert report.failure == want.failure
 
 
 class TestHexagonTheorem:
