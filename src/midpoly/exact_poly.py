@@ -12,8 +12,8 @@ signed area A2 / (2 L^2) and moment Z / L^3, and its centroid is the
 homogeneous integer triple (Zx, Zy, 3 * A2 * L), i.e. the point
 (Zx / w, Zy / w). The shoelace loop sums each edge's endpoints for Z,
 and those edge sums are W_{n+1}, so one pass yields the moments of W_n
-and the next iterate. The verifier works on these integers directly,
-up to the printed report.
+and the next iterate. Every command works on these integers directly,
+up to the printed report or the float figure.
 
 All values are immutable and all operations are pure functions, so callers
 may copy them freely and parallelize over independent polygons.
@@ -24,7 +24,7 @@ from __future__ import annotations
 import math
 from dataclasses import dataclass
 from fractions import Fraction
-from typing import Iterable, Sequence
+from typing import Iterable, Iterator, Sequence
 
 from .errors import AreaZeroError, WrongSizeError
 
@@ -38,27 +38,6 @@ class PlanePoint:
 
     x: Fraction
     y: Fraction
-
-    def __add__(self, other: "PlanePoint") -> "PlanePoint":
-        return PlanePoint(self.x + other.x, self.y + other.y)
-
-    def __sub__(self, other: "PlanePoint") -> "PlanePoint":
-        return PlanePoint(self.x - other.x, self.y - other.y)
-
-    def __neg__(self) -> "PlanePoint":
-        return PlanePoint(-self.x, -self.y)
-
-    def scaled(self, s: Fraction | int) -> "PlanePoint":
-        return PlanePoint(self.x * s, self.y * s)
-
-    def cross(self, other: "PlanePoint") -> Fraction:
-        return self.x * other.y - self.y * other.x
-
-    def dot(self, other: "PlanePoint") -> Fraction:
-        return self.x * other.x + self.y * other.y
-
-    def is_zero(self) -> bool:
-        return self.x == 0 and self.y == 0
 
 
 def point(x, y) -> PlanePoint:
@@ -103,25 +82,6 @@ class Polygon:
     def __getitem__(self, k: int) -> PlanePoint:
         return self.vertices[k]
 
-    def __add__(self, other: "Polygon") -> "Polygon":
-        if len(other) != len(self):
-            raise WrongSizeError("vertex counts differ")
-        return Polygon(tuple(a + b for a, b in zip(self.vertices, other.vertices)))
-
-    def __sub__(self, other: "Polygon") -> "Polygon":
-        if len(other) != len(self):
-            raise WrongSizeError("vertex counts differ")
-        return Polygon(tuple(a - b for a, b in zip(self.vertices, other.vertices)))
-
-    def scaled(self, s: Fraction | int) -> "Polygon":
-        return Polygon(tuple(v.scaled(s) for v in self.vertices))
-
-    def translated(self, c: PlanePoint) -> "Polygon":
-        return Polygon(tuple(v + c for v in self.vertices))
-
-    def reversed(self) -> "Polygon":
-        return Polygon(tuple(reversed(self.vertices)))
-
 
 def midpoint_map(p: Polygon) -> Polygon:
     """The polygon joining the midpoints of consecutive edges.
@@ -137,12 +97,9 @@ def iterate(p: Polygon, n: int) -> list[Polygon]:
     """Return [p, Mp, M^2 p, ..., M^n p], all exact."""
     if n < 0:
         raise ValueError("iteration count must be nonnegative")
-    scale, xs, ys = to_lattice(p)
-    out = [p]
-    for s in range(1, n + 1):
-        xs, ys = lattice_step(xs), lattice_step(ys)
-        out.append(_from_lattice(scale << s, xs, ys))
-    return out
+    orbit = lattice_orbit(*to_lattice(p), n)
+    next(orbit)  # iterate 0 is p itself
+    return [p, *(_from_lattice(w, xs, ys) for w, xs, ys in orbit)]
 
 
 def signed_area(p: Polygon) -> Fraction:
@@ -218,6 +175,16 @@ def to_lattice(p: Polygon) -> tuple[int, list[int], list[int]]:
 def lattice_step(values: Sequence[int]) -> list[int]:
     """One coordinate of the midpoint map on the lattice: W[k] + W[k+1], doubling the scale."""
     return [a + b for a, b in zip(values, [*values[1:], *values[:1]])]
+
+
+def lattice_orbit(
+    scale: int, xs: list[int], ys: list[int], n: int
+) -> Iterator[tuple[int, list[int], list[int]]]:
+    """The iterates 0..n of the polygon (xs, ys) / scale, iterate s as (scale * 2^s, xs_s, ys_s)."""
+    yield scale, xs, ys
+    for s in range(1, n + 1):
+        xs, ys = lattice_step(xs), lattice_step(ys)
+        yield scale << s, xs, ys
 
 
 def lattice_moments(

@@ -27,9 +27,10 @@ import cmath
 import math
 from dataclasses import dataclass, field
 from itertools import compress
+from typing import Iterable
 
 from .errors import DegenerateDenominatorError, PolygonDocumentError, WrongSizeError
-from .exact_poly import Polygon
+from .exact_poly import Homogeneous, Polygon, to_homogeneous
 
 _SQRT3 = math.sqrt(3.0)
 
@@ -84,15 +85,22 @@ class ModeVector:
         return self.coefficients[j]
 
 
-def to_float_polygon(p: Polygon) -> FloatPolygon:
-    """Explicit one-way conversion from the exact representation.
+def to_float_points(points: Iterable[Homogeneous]) -> FloatPolygon:
+    """The exact points (x / w, y / w) as floats: the only exact-to-float conversion.
 
-    A coordinate beyond the double range raises PolygonDocumentError.
+    Each coordinate is one int true division, which rounds correctly, so
+    it equals float(Fraction(x, w)) whether or not x / w is reduced. A
+    coordinate beyond the double range raises PolygonDocumentError.
     """
     try:
-        return FloatPolygon(tuple(complex(float(v.x), float(v.y)) for v in p.vertices))
+        return FloatPolygon(tuple(complex(x / w, y / w) for x, y, w in points))
     except OverflowError:
         raise PolygonDocumentError("coordinate out of float range") from None
+
+
+def to_float_polygon(p: Polygon) -> FloatPolygon:
+    """Explicit one-way conversion from the exact representation, by `to_float_points`."""
+    return to_float_points(map(to_homogeneous, p.vertices))
 
 
 def root_of_unity(m: int, j: int) -> complex:

@@ -7,7 +7,9 @@ integer lattice, the dense mode sums visit every mode where the
 spectral layer visits only the nonzero ones, the line verdict tests each
 point against a Fraction cross product where `verify` fits the line on
 integer triples, and the slope distinctness check compares every pair
-where `verify` compares sorted neighbours.
+where `verify` compares sorted neighbours. `PlanePoint` and `Polygon`
+serve only as containers: every sum, difference and product below is
+plain `Fraction` arithmetic on their coordinates.
 """
 
 from fractions import Fraction as F
@@ -15,6 +17,38 @@ from typing import NamedTuple
 
 from midpoly import AreaZeroError, ModeVector, PlanePoint, Polygon, eigenvalue, root_of_unity
 from midpoly.verify import SLOPE_DISTINCT_TOL
+
+
+def sub(a: PlanePoint, b: PlanePoint) -> PlanePoint:
+    """The vector a - b."""
+    return PlanePoint(a.x - b.x, a.y - b.y)
+
+
+def cross(a: PlanePoint, b: PlanePoint) -> F:
+    return a.x * b.y - a.y * b.x
+
+
+def dot(a: PlanePoint, b: PlanePoint) -> F:
+    return a.x * b.x + a.y * b.y
+
+
+def linear_combination(a, u: Polygon, b, v: Polygon) -> Polygon:
+    """The polygon a u + b v, vertex by vertex."""
+    assert len(u) == len(v)
+    return Polygon(tuple(PlanePoint(a * p.x + b * q.x, a * p.y + b * q.y) for p, q in zip(u, v)))
+
+
+def scaled(p: Polygon, s) -> Polygon:
+    return Polygon(tuple(PlanePoint(s * v.x, s * v.y) for v in p))
+
+
+def translated(p: Polygon, c: PlanePoint) -> Polygon:
+    return Polygon(tuple(PlanePoint(v.x + c.x, v.y + c.y) for v in p))
+
+
+def reversed_polygon(p: Polygon) -> Polygon:
+    """The same vertices in the opposite order."""
+    return Polygon(p.vertices[::-1])
 
 
 def fan_centroid(p: Polygon) -> PlanePoint:
@@ -30,7 +64,7 @@ def fan_centroid(p: Polygon) -> PlanePoint:
     for k in range(1, len(p) - 1):
         a = p.vertices[k]
         b = p.vertices[k + 1]
-        area = (a - v0).cross(b - v0) / 2
+        area = cross(sub(a, v0), sub(b, v0)) / 2
         total += area
         sx += area * (v0.x + a.x + b.x) / 3
         sy += area * (v0.y + a.y + b.y) / 3
@@ -41,9 +75,9 @@ def fan_centroid(p: Polygon) -> PlanePoint:
 def fraction_midpoint_map(p: Polygon) -> Polygon:
     """Vertex k is (v_k + v_{k+1}) / 2, averaged in Fractions."""
     verts = p.vertices
-    m = len(verts)
     half = F(1, 2)
-    return Polygon(tuple((verts[k] + verts[(k + 1) % m]).scaled(half) for k in range(m)))
+    return Polygon(tuple(PlanePoint((a.x + b.x) * half, (a.y + b.y) * half)
+                         for a, b in zip(verts, verts[1:] + verts[:1])))
 
 
 def fraction_iterate(p: Polygon, n: int) -> list[Polygon]:
@@ -60,7 +94,7 @@ def fraction_signed_area(p: Polygon) -> F:
     m = len(verts)
     total = F(0)
     for k in range(m):
-        total += verts[k].cross(verts[(k + 1) % m])
+        total += cross(verts[k], verts[(k + 1) % m])
     return total / 2
 
 
@@ -73,7 +107,7 @@ def fraction_z_moment(p: Polygon) -> PlanePoint:
     for k in range(m):
         a = verts[k]
         b = verts[(k + 1) % m]
-        c = a.cross(b)
+        c = cross(a, b)
         zx += (a.x + b.x) * c
         zy += (a.y + b.y) * c
     return PlanePoint(zx, zy)
@@ -123,12 +157,12 @@ def fraction_line_verdict(seq: list[PlanePoint | None], limit: PlanePoint) -> Fr
         return None
     anchor = defined[0][1]
     candidates = [g for _, g in defined] + [limit]
-    direction = next((g - anchor for g in candidates if g != anchor), None)
+    direction = next((sub(g, anchor) for g in candidates if g != anchor), None)
 
     def member(q):
         if direction is None:
             return q == anchor
-        return (q - anchor).cross(direction) == 0
+        return cross(sub(q, anchor), direction) == 0
 
     violation = next((n for n, g in defined if not member(g)), None)
     limit_on_line = member(limit)
@@ -156,11 +190,10 @@ def fraction_project_out_modes_0_3(p: Polygon) -> Polygon:
         sign = 1 if k % 2 == 0 else -1
         ax += sign * v.x
         ay += sign * v.y
-    alt = PlanePoint(ax / 6, ay / 6)
     out = []
     for k, v in enumerate(p.vertices):
         sign = 1 if k % 2 == 0 else -1
-        out.append(v - mean - alt.scaled(sign))
+        out.append(PlanePoint(v.x - mean.x - sign * ax / 6, v.y - mean.y - sign * ay / 6))
     return Polygon(tuple(out))
 
 

@@ -81,6 +81,18 @@ VERIFY_HEX_200_SHA256 = "c607ac1ffc1aae1e38ba85cd1828cf045cc5078152922d0d5ccf650
 # midpoint map, shoelace sums and centroid, which the lattice kernel replaced.
 ITERATE_HEX_30_SHA256 = "7845dfdab0b13fe53ec7f7efc58ab4813accd253c7f48155430432cdcc78a009"
 FIGURE_HEX_SHA256 = "0528ad5898ee8f0ef27aecdd21ca0798cfef742c5c4fc0743927b3610d2148e5"
+# A rational hexagon with L = 10, the first seed-1 document of the
+# benchmark's `deep_orbit` workload. `iterate --steps 200` and
+# `figure --steps 200` of it were recorded on the route that built every
+# iterate as a Fraction polygon and printed it with str(Fraction) or
+# converted it with float(Fraction); printing straight from the lattice
+# must reproduce them.
+DEEP_HEX_DOC = {
+    "vertices": [["-23/10", "-32/5"], ["-5", "17/5"], ["4", "-28/5"],
+                 ["-37/5", "3/2"], ["-4", "17/5"], ["-11/10", "-27/5"]]
+}
+ITERATE_DEEP_HEX_200_SHA256 = "b925bb19dfadf474083f2dc8690d6dff45e5830bd645bd6fb25f2a424e7b882a"
+FIGURE_DEEP_HEX_200_SHA256 = "de840a343a3b0e4ebac264e75c7c3339132d5c4fb82902d798092c991a7df05e"
 # Reports of the dense mode sums that the support-only sums replaced.
 PROPOSITION_SHA256 = {
     "64": "4f20efd663d9d93143611584aedfc4f5891cdaae2d4532d98ccdf05c772bdfb8",
@@ -143,8 +155,10 @@ class TestDocumentParsing:
             parse_polygon_document('{"vertices": [["one", "2"]]}')
 
     def test_rejects_zero_denominator(self):
-        with pytest.raises(PolygonDocumentError):
-            parse_polygon_document('{"vertices": [["1/0", "2"]]}')
+        # \d matches any Unicode decimal digit: "\u0661/\u0660" is Arabic-Indic 1/0
+        for token in ("1/0", "-3/000", "\u0661/\u0660"):
+            with pytest.raises(PolygonDocumentError, match="^zero denominator in "):
+                parse_polygon_document(json.dumps({"vertices": [[token, "2"]]}))
 
     def test_serialize_normalizes_and_is_idempotent(self):
         pairs = doc({"vertices": [["4/8", "+3"], ["1.250", "-0/5"]]})
@@ -610,6 +624,18 @@ class TestMainEntry:
         assert main(["figure", hex_path, "--output", str(out)]) == EXIT_OK
         assert hashlib.sha256(out.read_bytes()).hexdigest() == FIGURE_HEX_SHA256
 
+    def test_iterate_bytes_unchanged_at_200_steps(self, tmp_path, capsys):
+        path = self.write(tmp_path, "deep.json", DEEP_HEX_DOC)
+        assert main(["iterate", path, "--steps", "200"]) == EXIT_OK
+        out = capsys.readouterr().out.encode("utf-8")
+        assert hashlib.sha256(out).hexdigest() == ITERATE_DEEP_HEX_200_SHA256
+
+    def test_figure_bytes_unchanged_at_200_steps(self, tmp_path, capsys):
+        path = self.write(tmp_path, "deep.json", DEEP_HEX_DOC)
+        out = tmp_path / "deep.svg"
+        assert main(["figure", path, "--steps", "200", "--output", str(out)]) == EXIT_OK
+        assert hashlib.sha256(out.read_bytes()).hexdigest() == FIGURE_DEEP_HEX_200_SHA256
+
     def test_verify_steps_limit_exits_usage(self, tmp_path, capsys):
         hex_path = self.write(tmp_path, "hex.json", HEX_DOC)
         assert main(["verify", hex_path, "--steps", str(VERIFY_MAX_STEPS + 1)]) == EXIT_USAGE
@@ -691,6 +717,33 @@ class TestMainEntry:
         # the counting wrappers are live: the report's point views use them
         report = midpoly.verify.verify_hexagon_theorem(to_exact_polygon(doc(L_HEX_DOC)), 3)
         assert report.limit_point is not None and calls == ["from_homogeneous"]
+
+    @pytest.mark.parametrize("document", [HEX_DOC, L_HEX_DOC, CONSTANT_HEX_DOC])
+    def test_iterate_and_figure_stay_on_integers(self, document, monkeypatch):
+        import midpoly
+        import midpoly.cli
+        import midpoly.exact_poly
+        import midpoly.verify
+
+        calls = []
+        for home, name in ((midpoly.exact_poly, "iterate"), (midpoly.exact_poly, "from_homogeneous"),
+                           (midpoly.verify, "centroid_sequence")):
+            original = getattr(home, name)
+
+            def counting(*args, name=name, original=original):
+                calls.append(name)
+                return original(*args)
+
+            for module in (midpoly, midpoly.cli, midpoly.exact_poly, midpoly.verify):
+                if getattr(module, name, None) is original:
+                    monkeypatch.setattr(module, name, counting)
+        assert cmd_iterate(doc(document), 12, "exact")[0] == EXIT_OK
+        assert cmd_figure(doc(document), FigureSpec(steps=12))[0] == EXIT_OK
+        assert calls == []
+        # the counting wrappers are live
+        midpoly.verify.centroid_sequence(to_exact_polygon(doc(L_HEX_DOC)), 1)
+        midpoly.exact_poly.iterate(to_exact_polygon(doc(L_HEX_DOC)), 1)
+        assert calls == ["centroid_sequence", "from_homogeneous", "from_homogeneous", "iterate"]
 
     @pytest.mark.parametrize(
         "argv, message",
