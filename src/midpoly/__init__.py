@@ -54,7 +54,6 @@ from .verify import (
     convergence_diagnostics,
     counterexample_modes,
     diagnostics_from_report,
-    exact_colinear,
     fuzz_hexagons,
     verify_hexagon_theorem,
     verify_proposition,
@@ -92,7 +91,6 @@ __all__ = [
     "decompose",
     "diagnostics_from_report",
     "eigenvalue",
-    "exact_colinear",
     "fuzz_hexagons",
     "iterate",
     "midpoint_map",

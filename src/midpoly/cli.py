@@ -39,13 +39,14 @@ from .exact_poly import (
     PlanePoint,
     Polygon,
     lattice_centroids,
+    lattice_mean,
     lattice_orbit,
+    same_point,
     to_lattice,
 )
 from .verify import (
     RATIO_REL_TOL,
     FuzzConfig,
-    _same_point,
     diagnostics_from_report,
     fuzz_hexagons,
     verify_hexagon_theorem,
@@ -384,7 +385,7 @@ def render_figure(poly: Polygon, spec: FigureSpec) -> str:
 
     scale, xs, ys = to_lattice(poly)
     centroids = lattice_centroids(scale, xs, ys, spec.steps)
-    limit = (sum(xs), sum(ys), 6 * scale)
+    limit = lattice_mean(scale, xs, ys)
     orbit = lattice_orbit(scale, xs, ys, spec.steps)
     world = [spectral.to_float_points(zip(xs, ys, repeat(w))) for w, xs, ys in orbit]
     # the limit, then G_0 .. G_n; an undefined centroid holds the limit's place
@@ -393,6 +394,8 @@ def render_figure(poly: Polygon, spec: FigureSpec) -> str:
     ys = [z.imag for q in world for z in q]
     min_x, max_x = min(xs), max(xs)
     min_y, max_y = min(ys), max(ys)
+    if math.isinf(max_x - min_x) or math.isinf(max_y - min_y):
+        raise PolygonDocumentError("polygon spans more than the float range")
     if max_x - min_x < 1e-12:
         min_x -= 0.5
         max_x += 0.5
@@ -421,7 +424,7 @@ def render_figure(poly: Polygon, spec: FigureSpec) -> str:
     ]
 
     for step, q in enumerate(world):
-        frac = step / spec.steps if spec.steps else 0.0
+        frac = step / spec.steps
         opacity = spec.fade_start + (spec.fade_end - spec.fade_start) * frac
         pts = " ".join("{:.3f},{:.3f}".format(*to_screen(z.real, z.imag)) for z in q)
         parts.append(
@@ -431,10 +434,17 @@ def render_figure(poly: Polygon, spec: FigureSpec) -> str:
 
     if spec.show_line:
         first = next((n for n, g in enumerate(centroids) if n >= 1 and g is not None), None)
-        if first is not None and not _same_point(centroids[first], limit):
+        if first is not None and not same_point(centroids[first], limit):
             ax, ay = to_screen(marks[0].real, marks[0].imag)
             bx, by = to_screen(marks[first + 1].real, marks[first + 1].imag)
-            seg = _clip_infinite_line(ax, ay, bx - ax, by - ay, spec.width, spec.height)
+            dx, dy = bx - ax, by - ay
+            if abs(dx) < 1e-12 and abs(dy) < 1e-12:
+                # both marks land on one screen point: direct the line along their
+                # world difference, y flipped as on screen, or draw none without one
+                d = marks[first + 1] - marks[0]
+                norm = max(abs(d.real), abs(d.imag))
+                dx, dy = (d.real / norm, -d.imag / norm) if 0.0 < norm < math.inf else (0.0, 0.0)
+            seg = _clip_infinite_line(ax, ay, dx, dy, spec.width, spec.height) if dx or dy else None
             if seg is not None:
                 (x1, y1), (x2, y2) = seg
                 parts.append(

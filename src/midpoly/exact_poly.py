@@ -32,6 +32,11 @@ from .errors import AreaZeroError, WrongSizeError
 Homogeneous = tuple[int, int, int]
 
 
+def same_point(p: Homogeneous, q: Homogeneous) -> bool:
+    """Exact equality of two homogeneous points, by cross-multiplication."""
+    return p[0] * q[2] == q[0] * p[2] and p[1] * q[2] == q[1] * p[2]
+
+
 @dataclass(frozen=True)
 class PlanePoint:
     """A point x + iy of the plane with exact rational coordinates."""
@@ -68,10 +73,6 @@ class Polygon:
     @classmethod
     def from_coords(cls, coords: Iterable[tuple]) -> "Polygon":
         return cls(tuple(point(x, y) for x, y in coords))
-
-    @property
-    def size(self) -> int:
-        return len(self.vertices)
 
     def __len__(self) -> int:
         return len(self.vertices)
@@ -141,8 +142,7 @@ def centroid(p: Polygon) -> PlanePoint:
 
 def vertex_centroid(p: Polygon) -> PlanePoint:
     """The arithmetic mean of the vertices. Invariant under midpoint_map."""
-    scale, xs, ys = to_lattice(p)
-    return from_homogeneous((sum(xs), sum(ys), len(xs) * scale))
+    return from_homogeneous(lattice_mean(*to_lattice(p)))
 
 
 def project_out_modes_0_3(p: Polygon) -> Polygon:
@@ -229,6 +229,11 @@ def lattice_centroids(
             a2, zx, zy = -a2, -zx, -zy
         out.append(None if a2 == 0 else (zx, zy, (3 * a2 * scale) << s))
     return out
+
+
+def lattice_mean(scale: int, xs: Sequence[int], ys: Sequence[int]) -> Homogeneous:
+    """The vertex mean of the polygon (xs, ys) / scale, the limit of its orbit."""
+    return (sum(xs), sum(ys), len(xs) * scale)
 
 
 def lattice_projection(values: Sequence[int]) -> list[int]:

@@ -45,10 +45,6 @@ class FloatPolygon:
         if len(self.vertices) < 1:
             raise WrongSizeError("a polygon needs at least one vertex")
 
-    @property
-    def size(self) -> int:
-        return len(self.vertices)
-
     def __len__(self) -> int:
         return len(self.vertices)
 

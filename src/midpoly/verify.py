@@ -25,7 +25,7 @@ import random
 import sys
 from collections import Counter
 from dataclasses import dataclass
-from typing import NamedTuple, Sequence
+from typing import Sequence
 
 from .errors import (
     AreaZeroError,
@@ -39,9 +39,10 @@ from .exact_poly import (
     Polygon,
     from_homogeneous,
     lattice_centroids,
+    lattice_mean,
     lattice_moments,
     lattice_projection,
-    to_homogeneous,
+    same_point,
     to_lattice,
 )
 from .spectral import (
@@ -70,15 +71,6 @@ FUZZ_MAX_STEPS = 200
 FUZZ_MAX_BOUND = 10**9
 
 
-class LineCheck(NamedTuple):
-    colinear: bool
-    first_violation: int | None
-
-
-def _same_point(p: Homogeneous, q: Homogeneous) -> bool:
-    return p[0] * q[2] == q[0] * p[2] and p[1] * q[2] == q[1] * p[2]
-
-
 def _direction(a: Homogeneous, b: Homogeneous) -> Homogeneous:
     """The vector b - a as a triple (dx, dy, a_w * b_w)."""
     return (b[0] * a[2] - a[0] * b[2], b[1] * a[2] - a[1] * b[2], a[2] * b[2])
@@ -93,7 +85,7 @@ def _on_line(q: Homogeneous, anchor: Homogeneous, direction: Homogeneous | None)
     direction's w only scales the vector and plays no part.
     """
     if direction is None:
-        return _same_point(q, anchor)
+        return same_point(q, anchor)
     dx, dy, _ = direction
     ax, ay, aw = anchor
     qx, qy, qw = q
@@ -112,26 +104,11 @@ def _fit_line(points: Sequence[Homogeneous]) -> tuple[Homogeneous | None, int | 
     for pos in range(1, len(points)):
         q = points[pos]
         if direction is None:
-            if not _same_point(q, anchor):
+            if not same_point(q, anchor):
                 direction = _direction(anchor, q)
         elif not _on_line(q, anchor, direction):
             return direction, pos
     return direction, None
-
-
-def exact_colinear(points: Sequence[PlanePoint]) -> LineCheck:
-    """Decide whether all points lie on one line, by exact cross products.
-
-    The line is anchored at the first point with direction toward the
-    first distinct point; every later point must have zero cross product
-    against that direction. No tolerance is involved. Sequences of at
-    most two points are colinear; the witness is the index of the first
-    violating point otherwise.
-    """
-    if len(points) < 1:
-        raise ValueError("need at least one point")
-    _, violation = _fit_line([to_homogeneous(q) for q in points])
-    return LineCheck(violation is None, violation)
 
 
 def centroid_sequence(p: Polygon, n: int) -> list[PlanePoint | None]:
@@ -144,7 +121,8 @@ class ColinearityReport:
     """Exact verdict on the centroid line of an iterated hexagon.
 
     The points are homogeneous integer triples (x, y, w) with w > 0, as
-    the lattice kernel computes them. orbit[n] is the centroid of the
+    the lattice kernel computes them; `exact_poly.from_homogeneous`
+    converts one to a PlanePoint. orbit[n] is the centroid of the
     n-th iterate or None where the area vanishes; limit is the vertex
     centroid. anchor is the first defined centroid with index >= 1.
     direction is the vector from the anchor to the next defined distinct
@@ -156,8 +134,7 @@ class ColinearityReport:
     undefined.
 
     all_colinear, failure and passed are derived from first_violation
-    and limit_on_line. centroids, line_anchor, line_direction and
-    limit_point are the same values as PlanePoints, built on demand.
+    and limit_on_line.
     """
 
     orbit: tuple[Homogeneous | None, ...]
@@ -182,26 +159,6 @@ class ColinearityReport:
     @property
     def passed(self) -> bool:
         return self.failure is None
-
-    @property
-    def centroids(self) -> tuple[PlanePoint | None, ...]:
-        return tuple(None if g is None else from_homogeneous(g) for g in self.orbit)
-
-    @property
-    def line_anchor(self) -> PlanePoint:
-        return from_homogeneous(self.anchor)
-
-    @property
-    def line_direction(self) -> PlanePoint | None:
-        return None if self.direction is None else from_homogeneous(self.direction)
-
-    @property
-    def limit_point(self) -> PlanePoint:
-        return from_homogeneous(self.limit)
-
-    def on_line(self, q: PlanePoint) -> bool:
-        """Exact membership test against the report's line."""
-        return _on_line(to_homogeneous(q), self.anchor, self.direction)
 
 
 def _decide_line(orbit: tuple[Homogeneous | None, ...], limit: Homogeneous) -> ColinearityReport:
@@ -248,7 +205,7 @@ def verify_hexagon_theorem(p: Polygon, n: int) -> ColinearityReport:
     if n > VERIFY_MAX_STEPS:
         raise ValueError(f"at most {VERIFY_MAX_STEPS} iterations, got {n}")
     scale, xs, ys = to_lattice(p)
-    return _decide_line(tuple(lattice_centroids(scale, xs, ys, n)), (sum(xs), sum(ys), 6 * scale))
+    return _decide_line(tuple(lattice_centroids(scale, xs, ys, n)), lattice_mean(scale, xs, ys))
 
 
 def _z_scaling_holds(xs: Sequence[int], ys: Sequence[int]) -> bool:
@@ -287,8 +244,8 @@ def verify_small_m_invariance(p: Polygon, n: int) -> bool:
     required = lattice_centroids(scale, xs, ys, n)[start:]
     if any(g is None for g in required):
         raise AreaZeroError(f"zero-area iterate among steps {start}..{n}")
-    target = (sum(xs), sum(ys), m * scale) if m == 3 else required[0]
-    return all(_same_point(g, target) for g in required)
+    target = lattice_mean(scale, xs, ys) if m == 3 else required[0]
+    return all(same_point(g, target) for g in required)
 
 
 def counterexample_modes(m: int) -> ModeVector:
@@ -512,7 +469,7 @@ def fuzz_hexagons(cfg: FuzzConfig) -> FuzzSummary:
 
         reason = None
         try:
-            report = _decide_line(orbit, (sum(xs), sum(ys), 6))
+            report = _decide_line(orbit, lattice_mean(1, xs, ys))
         except InsufficientDataError:
             counts["insufficient_data"] += 1
         else:

@@ -72,6 +72,15 @@ CONSTANT_HEX_DOC = {"vertices": [["1", "1"]] * 6}
 L_HEX_DOC = {
     "vertices": [["0", "0"], ["2", "0"], ["2", "1"], ["1", "1"], ["1", "2"], ["0", "2"]]
 }
+# G_1 differs from the limit by about 1e-17, so both land on one screen point.
+TINY_OFFSET_HEX_DOC = {
+    "vertices": [["1", "1/10000000000000000"], ["0", "1"], ["-1", "1"],
+                 ["-1", "0"], ["0", "-1"], ["1", "-1"]]
+}
+# Each coordinate is a double, but max x - min x is not.
+WIDE_HEX_DOC = {
+    "vertices": [[x, str(k)] for k, x in enumerate(["1" + "0" * 308, "-1" + "0" * 308] * 2 + ["0", "0"])]
+}
 
 
 # Reports of the Fraction-based implementation that the integer-lattice
@@ -455,6 +464,12 @@ class TestFigure:
         _, svg = cmd_figure(doc(HEX_DOC), FigureSpec(steps=13, show_centroids=False))
         assert svg.count("<circle") == 0
 
+    def test_line_through_coincident_screen_points(self):
+        for steps in (1, 13):
+            _, svg = cmd_figure(doc(TINY_OFFSET_HEX_DOC), FigureSpec(steps=steps))
+            assert "nan" not in svg and "inf" not in svg
+            assert svg.count("<line") == 1
+
     def test_constant_hexagon_still_valid(self):
         _, svg = cmd_figure(doc(CONSTANT_HEX_DOC), FigureSpec(steps=5))
         assert svg.count("<polygon") == 6
@@ -551,6 +566,14 @@ class TestMainEntry:
         captured = capsys.readouterr()
         assert captured.err.startswith("midpoly: error: ")
         assert captured.err.count("\n") == 1
+        assert not out.exists()
+
+    def test_figure_span_overflow_exits_usage(self, tmp_path, capsys):
+        wide = self.write(tmp_path, "wide.json", WIDE_HEX_DOC)
+        out = tmp_path / "wide.svg"
+        assert main(["figure", wide, "--output", str(out)]) == EXIT_USAGE
+        captured = capsys.readouterr()
+        assert captured.err == "midpoly: error: polygon spans more than the float range\n"
         assert not out.exists()
 
     def test_figure_flags(self, tmp_path, capsys):
@@ -714,9 +737,9 @@ class TestMainEntry:
         code, _ = cmd_verify(doc(document), 12)
         assert code in (EXIT_OK, EXIT_INSUFFICIENT)
         assert calls == []
-        # the counting wrappers are live: the report's point views use them
-        report = midpoly.verify.verify_hexagon_theorem(to_exact_polygon(doc(L_HEX_DOC)), 3)
-        assert report.limit_point is not None and calls == ["from_homogeneous"]
+        # the counting wrappers are live: centroid_sequence converts each centroid
+        midpoly.verify.centroid_sequence(to_exact_polygon(doc(L_HEX_DOC)), 0)
+        assert calls == ["from_homogeneous"]
 
     @pytest.mark.parametrize("document", [HEX_DOC, L_HEX_DOC, CONSTANT_HEX_DOC])
     def test_iterate_and_figure_stay_on_integers(self, document, monkeypatch):

@@ -21,6 +21,8 @@ from midpoly import (
     z_moment,
 )
 
+from midpoly.exact_poly import lattice_moments, lattice_step
+
 from oracles import (
     fan_centroid,
     linear_combination,
@@ -43,6 +45,11 @@ CONSTANT_HEX = Polygon.from_coords([(1, 1)] * 6)
 
 rationals = st.fractions(min_value=-8, max_value=8, max_denominator=16)
 nonzero_rationals = rationals.filter(lambda r: r != 0)
+
+
+integer_coordinates = st.integers(1, 12).flatmap(
+    lambda m: st.tuples(*[st.lists(st.integers(-10**6, 10**6), min_size=m, max_size=m)] * 2)
+)
 
 
 def polygon_strategy(m: int):
@@ -254,3 +261,15 @@ class TestFractionReference:
     @example(CONSTANT_HEX)
     def test_projection_matches_fraction_loop(self, p):
         assert project_out_modes_0_3(p) == fraction_project_out_modes_0_3(p)
+
+
+class TestLatticeSteps:
+    """The fused shoelace pass and `lattice_step` are one midpoint map."""
+
+    @settings(max_examples=100, deadline=None)
+    @given(integer_coordinates)
+    @example(([5], [-7]))
+    @example(([0, 2, 2, 1, 1, 0], [0, 0, 1, 1, 2, 2]))
+    def test_fused_pass_steps_like_lattice_step(self, coords):
+        xs, ys = coords
+        assert lattice_moments(xs, ys)[3:] == (lattice_step(xs), lattice_step(ys))

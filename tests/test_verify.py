@@ -20,7 +20,6 @@ from midpoly import (
     centroid_sequence,
     convergence_diagnostics,
     counterexample_modes,
-    exact_colinear,
     fuzz_hexagons,
     midpoint_map,
     point,
@@ -32,12 +31,14 @@ from midpoly import (
     verify_z_scaling,
     z_moment,
 )
-from midpoly.exact_poly import from_homogeneous
+from midpoly.exact_poly import from_homogeneous, to_homogeneous
 from midpoly.verify import (
     SLOPE_DISTINCT_TOL,
     FuzzFailure,
     FuzzSummary,
     _decide_line,
+    _fit_line,
+    _on_line,
     random_integer_polygon,
     slopes_pairwise_distinct,
     trial_rng,
@@ -133,26 +134,40 @@ def reference_fuzz(cfg: FuzzConfig) -> FuzzSummary:
     )
 
 
+def as_point(h):
+    """The PlanePoint of a homogeneous triple, None for None."""
+    return None if h is None else from_homogeneous(h)
+
+
 class TestExactColinear:
+    """`_fit_line`, the exact line fit behind every hexagon verdict, on homogeneous triples.
+
+    It returns the direction from the first point to the first distinct
+    one and the position of the first point off that line.
+    """
+
     def test_diagonal_points(self):
-        pts = [point(0, 0), point(1, 1), point(2, 2), point(5, 5)]
-        assert exact_colinear(pts) == (True, None)
+        pts = [(0, 0, 1), (1, 1, 1), (2, 2, 1), (5, 5, 1)]
+        assert _fit_line(pts) == ((1, 1, 1), None)
 
     def test_right_angle(self):
-        pts = [point(0, 0), point(1, 0), point(0, 1)]
-        assert exact_colinear(pts) == (False, 2)
+        pts = [(0, 0, 1), (1, 0, 1), (0, 1, 1)]
+        assert _fit_line(pts) == ((1, 0, 1), 2)
 
     def test_fraction_multiples_no_tolerance(self):
-        pts = [point(0, 0), point(F(1, 3), F(2, 7)), point(F(2, 3), F(4, 7))]
-        assert exact_colinear(pts) == (True, None)
+        pts = [to_homogeneous(q) for q in (point(0, 0), point(F(1, 3), F(2, 7)), point(F(2, 3), F(4, 7)))]
+        direction, violation = _fit_line(pts)
+        assert violation is None
+        assert from_homogeneous(direction) == point(F(1, 3), F(2, 7))
 
     def test_short_sequences(self):
-        assert exact_colinear([point(1, 2)]).colinear
-        assert exact_colinear([point(1, 2), point(3, -4)]).colinear
+        assert _fit_line([(1, 2, 1)]) == (None, None)
+        assert _fit_line([(1, 2, 1), (3, -4, 1)]) == ((2, -6, 1), None)
 
     def test_repeated_anchor_then_violation(self):
-        pts = [point(0, 0), point(0, 0), point(1, 0), point(1, 1)]
-        assert exact_colinear(pts) == (False, 3)
+        # the repeat is the anchor with another w: equal points, no direction yet
+        pts = [(0, 0, 1), (0, 0, 3), (1, 0, 1), (1, 1, 1)]
+        assert _fit_line(pts) == ((1, 0, 1), 3)
 
 
 class TestCentroidSequence:
@@ -175,9 +190,9 @@ class TestCentroidSequence:
 
 def reference_diagnostics(report) -> tuple:
     """(indices, projections, stable_from, sign_changes, distance_ratios) on Fractions."""
-    limit = report.limit_point
-    defined = [(k, g) for k, g in enumerate(report.centroids) if k >= 1 and g is not None]
-    direction = report.line_direction or point(1, 0)
+    limit = from_homogeneous(report.limit)
+    defined = [(k, from_homogeneous(g)) for k, g in enumerate(report.orbit) if k >= 1 and g is not None]
+    direction = as_point(report.direction) or point(1, 0)
     params = [dot(sub(g, limit), direction) / dot(direction, direction) for _, g in defined]
     signs = [s for s in ((t > 0) - (t < 0) for t in params) if s != 0]
     stable_from = defined[0][0]
@@ -281,7 +296,7 @@ class TestDecideLine:
         assert report.first_violation == want.first_violation
         assert report.g0_on_line == want.g0_on_line
         assert report.limit_on_line == want.limit_on_line
-        assert report.line_direction == want.direction
+        assert as_point(report.direction) == want.direction
         assert report.failure == want.failure
 
 
@@ -297,10 +312,10 @@ class TestHexagonTheorem:
             assert report.all_colinear
             assert report.first_violation is None
             assert report.limit_on_line
-            # the standalone predicate agrees with the report
-            defined = [g for n, g in enumerate(report.centroids) if n >= 1 and g is not None]
-            assert exact_colinear(defined).colinear
-            assert exact_colinear(defined + [report.limit_point]).colinear
+            # the line fit alone agrees with the report
+            defined = [g for n, g in enumerate(report.orbit) if n >= 1 and g is not None]
+            assert _fit_line(defined)[1] is None
+            assert _fit_line(defined + [report.limit])[1] is None
 
     @settings(max_examples=40, deadline=None)
     @given(hexagons)
@@ -316,8 +331,8 @@ class TestHexagonTheorem:
         p = Polygon.from_coords(CENTRAL_SYMMETRIC_HEX)
         report = verify_hexagon_theorem(p, 8)
         assert report.all_colinear
-        assert report.line_direction is None
-        assert report.line_anchor == vertex_centroid(p)
+        assert report.direction is None
+        assert from_homogeneous(report.anchor) == vertex_centroid(p)
         assert report.limit_on_line
 
     @settings(max_examples=40, deadline=None)
@@ -331,16 +346,14 @@ class TestHexagonTheorem:
             return
         triples = [g for g in (*report.orbit, report.anchor, report.limit) if g is not None]
         assert all(w > 0 for _, _, w in triples)
-        assert report.centroids == tuple(None if g is None else from_homogeneous(g) for g in report.orbit)
-        assert report.line_anchor == from_homogeneous(report.anchor)
-        assert report.limit_point == from_homogeneous(report.limit)
-        if report.direction is None:
-            assert report.line_direction is None
-        else:
+        if report.direction is not None:
             assert report.direction[2] > 0
-            assert report.line_direction == from_homogeneous(report.direction)
-        assert report.centroids == tuple(fraction_centroid_or_none(q) for q in fraction_iterate(p, n))
-        assert report.limit_point == fraction_vertex_centroid(p)
+        centroids = tuple(as_point(g) for g in report.orbit)
+        assert centroids == tuple(fraction_centroid_or_none(q) for q in fraction_iterate(p, n))
+        assert from_homogeneous(report.limit) == fraction_vertex_centroid(p)
+        defined = [g for k, g in enumerate(report.orbit) if k >= 1 and g is not None]
+        assert report.anchor == defined[0]
+        assert all(_on_line(g, report.anchor, report.direction) for g in (*defined, report.limit))
 
     def test_g0_off_line_witness(self):
         report = verify_hexagon_theorem(Polygon.from_coords(G0_OFF_LINE_HEX), 12)
@@ -374,10 +387,13 @@ class TestHexagonTheorem:
         assert imaged.all_colinear
         # the line predicate transfers for every centroid the line claim
         # covers (index >= 1; the initial centroid is excluded on both sides)
-        for n, g in enumerate(original.centroids):
+        def on_imaged_line(h) -> bool:
+            return _on_line(to_homogeneous(transform(from_homogeneous(h))), imaged.anchor, imaged.direction)
+
+        for n, g in enumerate(original.orbit):
             if n >= 1 and g is not None:
-                assert imaged.on_line(transform(g))
-        assert imaged.on_line(transform(original.limit_point))
+                assert on_imaged_line(g)
+        assert on_imaged_line(original.limit)
 
 
 class TestZScaling:
