@@ -156,6 +156,16 @@ def _float_coordinate(token: str) -> float:
 
 
 _JSON_NONFINITE = {"nan": "NaN", "inf": "Infinity", "-inf": "-Infinity"}
+_JSON_CONSTANTS = {None: "null", True: "true", False: "false"}.__getitem__
+# exact type -> C-level formatter; its text then passes through _JSON_NONFINITE,
+# which only a float's can match
+_JSON_SCALARS = {
+    str: _json_str,
+    int: int.__repr__,
+    float: float.__repr__,
+    bool: _JSON_CONSTANTS,
+    type(None): _JSON_CONSTANTS,
+}
 
 
 def _dumps(payload) -> str:
@@ -172,21 +182,13 @@ def _dumps(payload) -> str:
 
 
 def _write_json(value, newline: str, out: list[str]) -> None:
-    """Append the indented JSON text of value; newline opens its nested lines."""
-    if isinstance(value, str):
-        out.append(_json_str(value))
-    elif value is None:
-        out.append("null")
-    elif value is True:
-        out.append("true")
-    elif value is False:
-        out.append("false")
-    elif isinstance(value, int):
-        out.append(int.__repr__(value))
-    elif isinstance(value, float):
-        text = float.__repr__(value)
-        out.append(_JSON_NONFINITE.get(text, text))
-    elif isinstance(value, (list, tuple)):
+    """Append the indented JSON text of value; newline opens its nested lines.
+
+    A container writes its items of an exact type in _JSON_SCALARS in
+    place and recurses for the rest; a subclass of a scalar type, such as
+    an IntEnum, takes the isinstance chain, as in the json module.
+    """
+    if isinstance(value, (list, tuple)):
         if not value:
             out.append("[]")
             return
@@ -194,7 +196,12 @@ def _write_json(value, newline: str, out: list[str]) -> None:
         sep = "[" + inner
         for item in value:
             out.append(sep)
-            _write_json(item, inner, out)
+            fmt = _JSON_SCALARS.get(type(item))
+            if fmt is None:
+                _write_json(item, inner, out)
+            else:
+                text = fmt(item)
+                out.append(_JSON_NONFINITE.get(text, text))
             sep = "," + inner
         out.append(newline + "]")
     elif isinstance(value, dict):
@@ -207,9 +214,23 @@ def _write_json(value, newline: str, out: list[str]) -> None:
             out.append(sep)
             out.append(_json_str(key))
             out.append(": ")
-            _write_json(item, inner, out)
+            fmt = _JSON_SCALARS.get(type(item))
+            if fmt is None:
+                _write_json(item, inner, out)
+            else:
+                text = fmt(item)
+                out.append(_JSON_NONFINITE.get(text, text))
             sep = "," + inner
         out.append(newline + "}")
+    elif isinstance(value, str):
+        out.append(_json_str(value))
+    elif value is None or value is True or value is False:
+        out.append(_JSON_CONSTANTS(value))
+    elif isinstance(value, int):
+        out.append(int.__repr__(value))
+    elif isinstance(value, float):
+        text = float.__repr__(value)
+        out.append(_JSON_NONFINITE.get(text, text))
     else:
         raise TypeError(f"Object of type {type(value).__name__} is not JSON serializable")
 
@@ -412,7 +433,11 @@ def render_figure(poly: Polygon, spec: FigureSpec) -> str:
     off_y = (spec.height - scale * (max_y - min_y)) / 2.0
 
     def to_screen(x: float, y: float) -> tuple[float, float]:
-        return (off_x + (x - min_x) * scale, spec.height - off_y - (y - min_y) * scale)
+        sx, sy = off_x + (x - min_x) * scale, spec.height - off_y - (y - min_y) * scale
+        # an iterate lies in the extent; a centroid far outside it can overflow
+        if math.isinf(sx) or math.isinf(sy):
+            raise PolygonDocumentError("centroid lies beyond the float range of the drawing")
+        return sx, sy
 
     parts = [
         '<?xml version="1.0" encoding="UTF-8"?>',

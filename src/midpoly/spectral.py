@@ -7,18 +7,21 @@ midpoint map with eigenvalues (1 + w^j) / 2, which makes the iteration
 diagonal in mode coordinates: coefficient j just picks up a factor of
 the eigenvalue per step.
 
-The transform is computed by direct O(m^2) summation; desk scale here is
-m <= 64, where simplicity and accuracy beat speed. Work in mode
+The transform is computed by direct O(m^2) summation from one table of
+the m roots, where simplicity and accuracy beat speed. Work in mode
 coordinates touches only a mode vector's support, the ascending indices
 of its nonzero coefficients, which the vector carries: the midpoint map
-keeps a zero mode zero, so an orbit keeps its support. For k nonzero
-modes `area_from_modes` costs O(k), `z_from_modes` O(k^2) and
-`advance_modes` O(k) plus one C-level copy of the m coefficients,
-instead of O(m) or O(m^2) Python steps. Skipping a zero term leaves every
-sum bit-identical to the dense one, given finite coefficients whose
-products do not overflow. Conversion from the exact representation is
-explicit and one way: nothing in this package converts floats back to
-rationals.
+keeps a zero mode zero, so an orbit keeps its support. One table per
+support holds each live mode's root, eigenvalue and surviving moment
+triples, and every mode sum reads it. For k nonzero modes
+`area_from_modes` costs O(k), `z_from_modes` O(k^2) and `advance_modes`
+O(k) plus the copy into the dense vector it returns; `orbit_moments`
+builds the table once for a whole orbit and never touches the m
+coefficients again, so a step of the witness m-gon costs the same at
+any m. Skipping a zero term leaves every sum bit-identical to the dense
+one, given finite coefficients whose products do not overflow.
+Conversion from the exact representation is explicit and one way:
+nothing in this package converts floats back to rationals.
 """
 
 from __future__ import annotations
@@ -26,8 +29,9 @@ from __future__ import annotations
 import cmath
 import math
 from dataclasses import dataclass, field
+from functools import cached_property
 from itertools import compress
-from typing import Iterable
+from typing import Iterable, Iterator
 
 from .errors import DegenerateDenominatorError, PolygonDocumentError, WrongSizeError
 from .exact_poly import Homogeneous, Polygon, to_homogeneous
@@ -149,28 +153,78 @@ def reconstruct(mv: ModeVector) -> FloatPolygon:
     return FloatPolygon(tuple(_dft(mv.coefficients, 1)))
 
 
+class _ModeTable:
+    """The per-run constants of the mode sums over one support of an m-gon.
+
+    Built once from (m, support) with one root_of_unity call per live mode:
+    each mode's eigenvalue (1 + w^j) / 2 and Im w^j, and, on first use, the
+    triples of z_from_modes. Coefficients are passed as the live list,
+    aligned with the support; no method builds a dense m-tuple.
+    """
+
+    def __init__(self, m: int, support: tuple[int, ...]):
+        roots = [root_of_unity(m, j) for j in support]
+        self.m = m
+        self.support = support
+        self.eigenvalues = [(1.0 + w) / 2.0 for w in roots]
+        self.im_omega = [w.imag for w in roots]
+
+    @cached_property
+    def triples(self) -> list[tuple[int, int, int, float]]:
+        """(p, q, (q - p) mod m, Im w^p + Im w^q) as support positions, ascending in (p, q).
+
+        Only triples whose three modes are live and whose factor is nonzero.
+        """
+        position = {j: a for a, j in enumerate(self.support)}
+        out = []
+        for a, p in enumerate(self.support):
+            for b, q in enumerate(self.support):
+                c = position.get((q - p) % self.m)
+                factor = self.im_omega[a] + self.im_omega[b]
+                if factor != 0.0 and c is not None:
+                    out.append((a, b, c, factor))
+        return out
+
+    def advance(self, live: list[complex], n: int) -> list[complex]:
+        """The live coefficients after n steps: lambda_j^n xi_j."""
+        return [lam**n * c for lam, c in zip(self.eigenvalues, live)]
+
+    def z(self, live: list[complex]) -> complex:
+        total = 0j
+        for a, b, c, factor in self.triples:
+            total += live[a] * live[b].conjugate() * live[c] * factor
+        return self.m * total
+
+    def area(self, live: list[complex]) -> float:
+        total = 0.0
+        for c, im in zip(live, self.im_omega):
+            total += (c.real * c.real + c.imag * c.imag) * im
+        return 0.5 * self.m * total
+
+
+def _live(mv: ModeVector) -> list[complex]:
+    xi = mv.coefficients
+    return [xi[j] for j in mv.support]
+
+
 def advance_modes(mv: ModeVector, n: int) -> ModeVector:
     """Apply n midpoint steps in mode coordinates: xi_j -> lambda_j^n xi_j.
 
     Zero coefficients pass through unchanged, so eigenvalues are computed
-    for the support only: O(k) for k nonzero modes, plus one C-level copy
-    of the m coefficients. The new support is the old one less any mode
-    whose coefficient underflows to zero; the coefficients are not
-    rescanned.
+    for the support only: O(k) for k nonzero modes, plus one copy of the
+    m coefficients into the returned dense vector. The new support is the
+    old one less any mode whose coefficient underflows to zero; the
+    coefficients are not rescanned.
     """
     if n < 0:
         raise ValueError("step count must be nonnegative")
-    m = mv.m
+    advanced = _ModeTable(mv.m, mv.support).advance(_live(mv), n)
     coeffs = list(mv.coefficients)
-    support = []
-    for j in mv.support:
-        c = eigenvalue(m, j) ** n * coeffs[j]
+    for j, c in zip(mv.support, advanced):
         coeffs[j] = c
-        if c:
-            support.append(j)
     out = object.__new__(ModeVector)
     object.__setattr__(out, "coefficients", tuple(coeffs))
-    object.__setattr__(out, "support", tuple(support))
+    object.__setattr__(out, "support", tuple(compress(mv.support, advanced)))
     return out
 
 
@@ -186,18 +240,7 @@ def z_from_modes(mv: ModeVector) -> complex:
     O(k^2) for k nonzero modes, and bit-identical to the full m^2 sum
     for finite coefficients whose products do not overflow.
     """
-    m = mv.m
-    xi = mv.coefficients
-    im_omega = {j: root_of_unity(m, j).imag for j in mv.support}
-    total = 0j
-    for p in im_omega:
-        for q in im_omega:
-            r = (q - p) % m
-            factor = im_omega[p] + im_omega[q]
-            if factor == 0.0 or r not in im_omega:
-                continue
-            total += xi[p] * xi[q].conjugate() * xi[r] * factor
-    return m * total
+    return _ModeTable(mv.m, mv.support).z(_live(mv))
 
 
 def area_from_modes(mv: ModeVector) -> float:
@@ -209,13 +252,27 @@ def area_from_modes(mv: ModeVector) -> float:
     Only the support is visited, O(k) for k nonzero modes; coefficients
     are assumed finite.
     """
-    m = mv.m
-    xi = mv.coefficients
-    total = 0.0
-    for j in mv.support:
-        c = xi[j]
-        total += (c.real * c.real + c.imag * c.imag) * root_of_unity(m, j).imag
-    return 0.5 * m * total
+    return _ModeTable(mv.m, mv.support).area(_live(mv))
+
+
+def orbit_moments(mv: ModeVector, n: int) -> Iterator[tuple[complex, float]]:
+    """(Z, signed area) of the midpoint iterates 0 .. n of mv, from one mode table.
+
+    Iterate s has the live coefficients lambda_j^s xi_j, computed as
+    advance_modes(mv, s) computes them, so each pair equals the sums of
+    advance_modes(mv, s) bit for bit. A coefficient that underflows to
+    zero adds only zero terms, as if its mode were dropped for that step;
+    it stays in the table, since for a tiny xi_j a later lambda_j^s xi_j
+    can round to nonzero again. For k nonzero modes a run makes k
+    root_of_unity calls, and a step costs O(k) plus the surviving triples.
+    """
+    if n < 0:
+        raise ValueError("step count must be nonnegative")
+    table = _ModeTable(mv.m, mv.support)
+    xi = _live(mv)
+    for s in range(n + 1):
+        live = table.advance(xi, s)
+        yield table.z(live), table.area(live)
 
 
 def closed_form_centroid(mv: ModeVector, n: int) -> complex:

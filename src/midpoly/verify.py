@@ -45,19 +45,12 @@ from .exact_poly import (
     same_point,
     to_lattice,
 )
-from .spectral import (
-    FloatPolygon,
-    ModeVector,
-    advance_modes,
-    area_from_modes,
-    root_of_unity,
-    z_from_modes,
-)
+from .spectral import FloatPolygon, ModeVector, orbit_moments, root_of_unity
 
 RATIO_REL_TOL = 1e-9
 SLOPE_DISTINCT_TOL = 1e-12
-# Cost bounds of verify_proposition: each step copies an m-length mode
-# vector once, at C speed, and computes only on its live modes.
+# Cost bounds of verify_proposition: a run builds the witness's m
+# coefficients once, then each step computes only on its three live modes.
 PROPOSITION_MAX_M = 4096
 PROPOSITION_MAX_STEPS = 2000
 # verify_hexagon_theorem's iterate n has numbers of about 2.6 n bits.
@@ -339,13 +332,10 @@ def verify_proposition(m: int, n: int, rel_tol: float = RATIO_REL_TOL) -> Counte
 
     slopes = []
     overlays: list[complex | None] = []
-    for step in range(n + 1):
-        advanced = advance_modes(mv, step)
-        z = z_from_modes(advanced)
+    for step, (z, area) in enumerate(orbit_moments(mv, n)):
         if z.real == 0.0 or z.imag == 0.0:
             raise InsufficientDataError(f"moment Z underflows to zero at step {step}")
         slopes.append(z.imag / z.real)
-        area = area_from_modes(advanced)
         overlays.append(None if area == 0.0 else z / (6.0 * area))
 
     ratios = tuple(slopes[i + 1] / slopes[i] for i in range(n))

@@ -1,6 +1,7 @@
 """Document parsing, report serialization, exit codes, and SVG output."""
 
 import dataclasses
+import enum
 import hashlib
 import json
 import math
@@ -81,6 +82,12 @@ TINY_OFFSET_HEX_DOC = {
 WIDE_HEX_DOC = {
     "vertices": [[x, str(k)] for k, x in enumerate(["1" + "0" * 308, "-1" + "0" * 308] * 2 + ["0", "0"])]
 }
+
+
+def far_centroid_hex_doc(exponent: int) -> dict:
+    """A hexagon of area 10^-exponent / 4; G_0 and G_1 lie at x = -10^exponent / 1.5 and / 3."""
+    tiny = "1/1" + "0" * exponent
+    return {"vertices": [["0", "0"], ["1/2", "1/2"], ["1", "1"], ["1", tiny], ["1/2", "1/2"], ["0", "1"]]}
 
 
 # Reports of the Fraction-based implementation that the integer-lattice
@@ -367,6 +374,18 @@ json_values = st.recursive(
 )
 
 
+class _Level(enum.IntEnum):
+    LOW = 1
+
+
+class _Tag(str):
+    pass
+
+
+class _Real(float):
+    pass
+
+
 class TestReportWriter:
     """_dumps prints what json.dumps(indent=2, sort_keys=True) prints, plus a newline."""
 
@@ -376,6 +395,10 @@ class TestReportWriter:
     @example({})
     @example(((), {}, [[]], {"b": {}, "a": ()}))
     @example({"\u00e9": [True, False, None, 0, -0.0, 2**64 + 1]})
+    # subclasses of the scalar types are written as their base type
+    @example(_Level.LOW)
+    @example([_Level.LOW, _Tag("t\u00e9"), _Real(0.1), _Real("inf"), _Real("-inf"), _Real("nan")])
+    @example({_Tag("k"): _Level.LOW, "r": (_Real(-0.0),), "t": {"x": _Tag("")}})
     def test_matches_json_module(self, value):
         assert _dumps(value) == json.dumps(value, indent=2, sort_keys=True) + "\n"
 
@@ -575,6 +598,25 @@ class TestMainEntry:
         captured = capsys.readouterr()
         assert captured.err == "midpoly: error: polygon spans more than the float range\n"
         assert not out.exists()
+
+    @pytest.mark.parametrize("exponent", [306, 307])
+    @pytest.mark.parametrize("flags", [[], ["--no-line"], ["--no-centroids"]])
+    def test_figure_centroid_overflow_exits_usage(self, tmp_path, capsys, exponent, flags):
+        # a drawn centroid's screen x overflows to -inf although every coordinate is a double
+        far = self.write(tmp_path, "far.json", far_centroid_hex_doc(exponent))
+        out = tmp_path / "far.svg"
+        assert main(["figure", far, "--output", str(out), *flags]) == EXIT_USAGE
+        captured = capsys.readouterr()
+        assert captured.err == "midpoly: error: centroid lies beyond the float range of the drawing\n"
+        assert not out.exists()
+
+    @pytest.mark.parametrize(("exponent", "flags"), [(305, []), (306, ["--no-line", "--no-centroids"])])
+    def test_figure_far_centroid_drawn_or_left_out(self, tmp_path, exponent, flags):
+        far = self.write(tmp_path, "far.json", far_centroid_hex_doc(exponent))
+        out = tmp_path / "far.svg"
+        assert main(["figure", far, "--output", str(out), *flags]) == EXIT_OK
+        svg = out.read_text()
+        assert "nan" not in svg and "inf" not in svg
 
     def test_figure_flags(self, tmp_path, capsys):
         hex_path = self.write(tmp_path, "hex.json", HEX_DOC)

@@ -6,7 +6,7 @@ import random
 from fractions import Fraction as F
 
 import pytest
-from hypothesis import given, settings
+from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
 from midpoly import (
@@ -29,6 +29,7 @@ from midpoly import (
     z_moment,
 )
 from midpoly import spectral, verify
+from midpoly.spectral import orbit_moments
 from oracles import dense_advance_modes, dense_area_from_modes, dense_z_from_modes
 
 SQRT3 = math.sqrt(3.0)
@@ -379,3 +380,25 @@ class TestSparseSupport:
         monkeypatch.setattr(cmath, "exp", lambda z: calls.append(z) or exp(z))
         assert (z_from_modes(mv), area_from_modes(mv), advance_modes(mv, 10)) == expected
         assert len(calls) == 9
+
+    @settings(max_examples=100, deadline=None)
+    @given(sparse_mode_vectors(), st.integers(min_value=0, max_value=40))
+    # lambda_3 = 6.1e-17j: the support shrinks by underflow at step 20
+    @example(ModeVector((0j, 0j, 0j, 1 + 0j, 0j, 0j)), 25)
+    # lambda_1^16 xi_1 rounds to zero and lambda_1^17 xi_1 does not, so the
+    # mode is still summed at step 17, through the triple (1, 3, 2)
+    @example(ModeVector((0j, 5e-324 + 0j, 1e150 + 0j, 1e150j) + (0j,) * 8), 20)
+    def test_orbit_moments_match_dense_sums(self, mv, n):
+        moments = list(orbit_moments(mv, n))
+        assert len(moments) == n + 1
+        for s, (z, area) in enumerate(moments):
+            dense = dense_advance_modes(mv, s)
+            assert z == dense_z_from_modes(dense)
+            assert area == dense_area_from_modes(dense)
+
+    def test_one_root_per_live_mode_per_run(self, monkeypatch):
+        calls = []
+        exp = cmath.exp
+        monkeypatch.setattr(cmath, "exp", lambda z: calls.append(z) or exp(z))
+        verify.verify_proposition(64, 10)  # the witness has live modes 1, 2 and 3
+        assert len(calls) == 3
