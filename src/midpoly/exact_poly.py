@@ -190,17 +190,23 @@ def lattice_orbit(
 def lattice_moments(
     xs: Sequence[int], ys: Sequence[int]
 ) -> tuple[int, int, int, list[int], list[int]]:
-    """(A2, Zx, Zy, xs', ys') of an integer polygon in one shoelace pass.
+    """(A2, Zx, Zy, xs', ys') of an integer polygon of m >= 1 vertices in one shoelace pass.
 
     A2 is twice the signed area and (Zx, Zy) the moment Z. Z weighs each
     edge's cross product by the sum of its endpoints, W[k] + W[k+1], and
     those sums are the next iterate (xs', ys') = (lattice_step(xs),
-    lattice_step(ys)), which the pass returns as well.
+    lattice_step(ys)), which the pass returns as well. The loop carries
+    each edge's first vertex over from the edge before and closes the
+    polygon with the edge (m - 1, 0) after it.
     """
     a2 = zx = zy = 0
     next_xs: list[int] = []
     next_ys: list[int] = []
-    for x0, y0, x1, y1 in zip(xs, ys, [*xs[1:], *xs[:1]], [*ys[1:], *ys[:1]]):
+    x0 = xs[0]
+    y0 = ys[0]
+    for k in range(1, len(xs)):
+        x1 = xs[k]
+        y1 = ys[k]
         c = x0 * y1 - x1 * y0
         sx = x0 + x1
         sy = y0 + y1
@@ -209,6 +215,18 @@ def lattice_moments(
         zy += sy * c
         next_xs.append(sx)
         next_ys.append(sy)
+        x0 = x1
+        y0 = y1
+    x1 = xs[0]
+    y1 = ys[0]
+    c = x0 * y1 - x1 * y0
+    sx = x0 + x1
+    sy = y0 + y1
+    a2 += c
+    zx += sx * c
+    zy += sy * c
+    next_xs.append(sx)
+    next_ys.append(sy)
     return a2, zx, zy, next_xs, next_ys
 
 

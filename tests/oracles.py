@@ -6,8 +6,11 @@ Fraction loops compute on rationals where `exact_poly` computes on the
 integer lattice, the dense mode sums visit every mode where the
 spectral layer visits only the nonzero ones, the line verdict tests each
 point against a Fraction cross product where `verify` fits the line on
-integer triples, and the slope distinctness check compares every pair
-where `verify` compares sorted neighbours. `PlanePoint` and `Polygon`
+integer triples, the slope distinctness check compares every pair
+where `verify` compares sorted neighbours, and the rotated-copy shoelace
+pass zips each vertex with a rotated copy of the lists where
+`exact_poly.lattice_moments` carries the previous vertex through its
+loop. `PlanePoint` and `Polygon`
 serve only as containers: every sum, difference and product below is
 plain `Fraction` arithmetic on their coordinates.
 """
@@ -240,3 +243,20 @@ def pairwise_slopes_distinct(slopes: list[float]) -> bool:
             if gap <= SLOPE_DISTINCT_TOL * max(1.0, abs(slopes[i]), abs(slopes[j])):
                 distinct = False
     return distinct
+
+
+def rotated_copy_moments(xs: list[int], ys: list[int]) -> tuple[int, int, int, list[int], list[int]]:
+    """(A2, Zx, Zy, xs', ys') of an integer polygon, zipping its vertices with rotated copies."""
+    a2 = zx = zy = 0
+    next_xs: list[int] = []
+    next_ys: list[int] = []
+    for x0, y0, x1, y1 in zip(xs, ys, [*xs[1:], *xs[:1]], [*ys[1:], *ys[:1]]):
+        c = x0 * y1 - x1 * y0
+        sx = x0 + x1
+        sy = y0 + y1
+        a2 += c
+        zx += sx * c
+        zy += sy * c
+        next_xs.append(sx)
+        next_ys.append(sy)
+    return a2, zx, zy, next_xs, next_ys

@@ -54,6 +54,7 @@ from midpoly.verify import (
     PROPOSITION_MAX_STEPS,
     VERIFY_MAX_STEPS,
     FuzzConfig,
+    _decide_line,
     fuzz_hexagons,
 )
 
@@ -700,6 +701,37 @@ class TestMainEntry:
         out = tmp_path / "deep.svg"
         assert main(["figure", path, "--steps", "200", "--output", str(out)]) == EXIT_OK
         assert hashlib.sha256(out.read_bytes()).hexdigest() == FIGURE_DEEP_HEX_200_SHA256
+
+    def test_verify_limit_off_line_exits_violation(self, tmp_path, capsys, monkeypatch):
+        # G_1..G_3 share the x-axis, so only the limit (0, 1) is off the line
+        import midpoly.cli
+
+        orbit = ((3, 4, 1), (0, 0, 1), (1, 0, 1), (2, 0, 1))
+        report = _decide_line(orbit, (0, 1, 1))
+        assert report.first_violation is None and not report.limit_on_line
+        monkeypatch.setattr(midpoly.cli, "verify_hexagon_theorem", lambda poly, steps: report)
+        hex_path = self.write(tmp_path, "hex.json", HEX_DOC)
+        assert main(["verify", hex_path, "--steps", "3"]) == EXIT_VIOLATION
+        out = capsys.readouterr().out
+        assert '"limit_on_line": false' in out
+        assert json.loads(out)["all_colinear"] is True
+
+    def test_verify_past_int_digit_limit_exits_usage(self, tmp_path, capsys):
+        # a coordinate with 0.7 times the limit's digits parses, but the centroids print about twice as many
+        previous = sys.get_int_max_str_digits()
+        limit = previous or sys.int_info.default_max_str_digits
+        digits = limit * 7 // 10
+        vertices = [["1" + "0" * (digits - 1), "3"], ["0", "1"], ["-1", "1"], ["-1", "0"], ["0", "-1"], ["1", "-1"]]
+        big = self.write(tmp_path, "big.json", {"vertices": vertices})
+        sys.set_int_max_str_digits(limit)
+        try:
+            assert main(["verify", big]) == EXIT_USAGE
+        finally:
+            sys.set_int_max_str_digits(previous)
+        captured = capsys.readouterr()
+        assert captured.out == ""
+        assert captured.err.startswith(f"midpoly: error: Exceeds the limit ({limit} digits)")
+        assert captured.err.count("\n") == 1 and captured.err.endswith("\n")
 
     def test_verify_steps_limit_exits_usage(self, tmp_path, capsys):
         hex_path = self.write(tmp_path, "hex.json", HEX_DOC)

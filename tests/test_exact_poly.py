@@ -34,6 +34,7 @@ from oracles import (
     fraction_vertex_centroid,
     fraction_z_moment,
     reversed_polygon,
+    rotated_copy_moments,
     scaled,
     translated,
 )
@@ -47,8 +48,9 @@ rationals = st.fractions(min_value=-8, max_value=8, max_denominator=16)
 nonzero_rationals = rationals.filter(lambda r: r != 0)
 
 
+# Up to the size of a 200-step iterate's integers, about 2.6 bits a step.
 integer_coordinates = st.integers(1, 12).flatmap(
-    lambda m: st.tuples(*[st.lists(st.integers(-10**6, 10**6), min_size=m, max_size=m)] * 2)
+    lambda m: st.tuples(*[st.lists(st.integers(-2**600, 2**600), min_size=m, max_size=m)] * 2)
 )
 
 
@@ -264,12 +266,15 @@ class TestFractionReference:
 
 
 class TestLatticeSteps:
-    """The fused shoelace pass and `lattice_step` are one midpoint map."""
+    """The fused shoelace pass equals the rotated-copy pass, and steps like `lattice_step`."""
 
-    @settings(max_examples=100, deadline=None)
+    @settings(max_examples=200, deadline=None)
     @given(integer_coordinates)
     @example(([5], [-7]))
     @example(([0, 2, 2, 1, 1, 0], [0, 0, 1, 1, 2, 2]))
+    @example(([2**600, -3, 7], [5, -2**599, 1]))
     def test_fused_pass_steps_like_lattice_step(self, coords):
         xs, ys = coords
-        assert lattice_moments(xs, ys)[3:] == (lattice_step(xs), lattice_step(ys))
+        moments = lattice_moments(xs, ys)
+        assert moments == rotated_copy_moments(xs, ys)
+        assert moments[3:] == (lattice_step(xs), lattice_step(ys))
