@@ -25,7 +25,6 @@ from .exact_poly import (
     point,
     project_out_modes_0_3,
     signed_area,
-    vertex_centroid,
     z_moment,
 )
 from .spectral import (
@@ -37,10 +36,8 @@ from .spectral import (
     decompose,
     eigenvalue,
     mode_basis,
-    reconstruct,
     root_of_unity,
     to_float_polygon,
-    triple_product,
     z_from_modes,
 )
 from .verify import (
@@ -49,7 +46,6 @@ from .verify import (
     CounterexampleReport,
     FuzzConfig,
     FuzzSummary,
-    build_counterexample,
     centroid_sequence,
     convergence_diagnostics,
     counterexample_modes,
@@ -82,7 +78,6 @@ __all__ = [
     "WrongSizeError",
     "advance_modes",
     "area_from_modes",
-    "build_counterexample",
     "centroid",
     "centroid_sequence",
     "closed_form_centroid",
@@ -97,16 +92,13 @@ __all__ = [
     "mode_basis",
     "point",
     "project_out_modes_0_3",
-    "reconstruct",
     "root_of_unity",
     "signed_area",
     "to_float_polygon",
-    "triple_product",
     "verify_hexagon_theorem",
     "verify_proposition",
     "verify_small_m_invariance",
     "verify_z_scaling",
-    "vertex_centroid",
     "z_from_modes",
     "z_moment",
 ]

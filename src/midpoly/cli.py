@@ -116,20 +116,6 @@ def parse_polygon_document(text: str) -> list[tuple[str, str]]:
     return pairs
 
 
-def serialize_polygon_document(pairs: list[tuple[str, str]]) -> str:
-    """Canonical document text: fractions reduced, decimals shortest-form."""
-    normed = []
-    for sx, sy in pairs:
-        row = []
-        for token in (sx, sy):
-            if _classify(token) == "decimal":
-                row.append(repr(float(token)))
-            else:
-                row.append(str(Fraction(token)))
-        normed.append(row)
-    return _dumps({"schema": "polygon/1", "vertices": normed})
-
-
 def to_exact_polygon(pairs: list[tuple[str, str]]) -> Polygon:
     """Exact-mode conversion: decimals are rejected, never rounded in."""
     vertices = []

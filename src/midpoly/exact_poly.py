@@ -140,11 +140,6 @@ def centroid(p: Polygon) -> PlanePoint:
     return from_homogeneous(g)
 
 
-def vertex_centroid(p: Polygon) -> PlanePoint:
-    """The arithmetic mean of the vertices. Invariant under midpoint_map."""
-    return from_homogeneous(lattice_mean(*to_lattice(p)))
-
-
 def project_out_modes_0_3(p: Polygon) -> Polygon:
     """Remove the constant and the alternating-sign mode from a hexagon.
 

@@ -15,13 +15,13 @@ keeps a zero mode zero, so an orbit keeps its support. One table per
 support holds each live mode's root, eigenvalue and surviving moment
 triples, and every mode sum reads it. For k nonzero modes
 `area_from_modes` costs O(k), `z_from_modes` O(k^2) and `advance_modes`
-O(k) plus the copy into the dense vector it returns; `orbit_moments`
-builds the table once for a whole orbit and never touches the m
-coefficients again, so a step of the witness m-gon costs the same at
-any m. Skipping a zero term leaves every sum bit-identical to the dense
-one, given finite coefficients whose products do not overflow.
-Conversion from the exact representation is explicit and one way:
-nothing in this package converts floats back to rationals.
+O(k + m), since it returns a dense vector; `orbit_moments` builds the
+table once for a whole orbit and never touches the m coefficients
+again, so a step of the witness m-gon costs the same at any m.
+Skipping a zero term leaves every sum bit-identical to the dense one,
+given finite coefficients whose products do not overflow. Conversion
+from the exact representation is explicit and one way: nothing in this
+package converts floats back to rationals.
 """
 
 from __future__ import annotations
@@ -129,28 +129,17 @@ def midpoint_map(p: FloatPolygon) -> FloatPolygon:
     return FloatPolygon(tuple(0.5 * (verts[k] + verts[(k + 1) % m]) for k in range(m)))
 
 
-def _dft(values: tuple[complex, ...], sign: int) -> list[complex]:
-    """Entry j is sum_k values[k] w^(sign*jk), from one table of the m roots."""
-    m = len(values)
+def decompose(p: FloatPolygon) -> ModeVector:
+    """Mode coefficients xi_j = (1/m) sum_k v_k w^(-jk), from one table of the m roots."""
+    m = len(p.vertices)
     roots = [root_of_unity(m, r) for r in range(m)]
-    out = []
+    coeffs = []
     for j in range(m):
         acc = 0j
-        for k, v in enumerate(values):
-            acc += v * roots[sign * j * k % m]
-        out.append(acc)
-    return out
-
-
-def decompose(p: FloatPolygon) -> ModeVector:
-    """Mode coefficients xi_j = (1/m) sum_k v_k w^(-jk)."""
-    m = len(p.vertices)
-    return ModeVector(tuple(acc / m for acc in _dft(p.vertices, -1)))
-
-
-def reconstruct(mv: ModeVector) -> FloatPolygon:
-    """Inverse of decompose: vertex k is sum_j xi_j w^(jk)."""
-    return FloatPolygon(tuple(_dft(mv.coefficients, 1)))
+        for k, v in enumerate(p.vertices):
+            acc += v * roots[-j * k % m]
+        coeffs.append(acc / m)
+    return ModeVector(tuple(coeffs))
 
 
 class _ModeTable:
@@ -211,21 +200,16 @@ def advance_modes(mv: ModeVector, n: int) -> ModeVector:
     """Apply n midpoint steps in mode coordinates: xi_j -> lambda_j^n xi_j.
 
     Zero coefficients pass through unchanged, so eigenvalues are computed
-    for the support only: O(k) for k nonzero modes, plus one copy of the
-    m coefficients into the returned dense vector. The new support is the
-    old one less any mode whose coefficient underflows to zero; the
-    coefficients are not rescanned.
+    for the support only: O(k) for k nonzero modes. The returned dense
+    vector rescans its m coefficients for its support, which is the old
+    one less any mode whose coefficient underflows to zero.
     """
     if n < 0:
         raise ValueError("step count must be nonnegative")
-    advanced = _ModeTable(mv.m, mv.support).advance(_live(mv), n)
     coeffs = list(mv.coefficients)
-    for j, c in zip(mv.support, advanced):
+    for j, c in zip(mv.support, _ModeTable(mv.m, mv.support).advance(_live(mv), n)):
         coeffs[j] = c
-    out = object.__new__(ModeVector)
-    object.__setattr__(out, "coefficients", tuple(coeffs))
-    object.__setattr__(out, "support", tuple(compress(mv.support, advanced)))
-    return out
+    return ModeVector(tuple(coeffs))
 
 
 def z_from_modes(mv: ModeVector) -> complex:
@@ -233,7 +217,7 @@ def z_from_modes(mv: ModeVector) -> complex:
 
     Evaluates m * sum_{p,q} xi_p * conj(xi_q) * xi_{q-p} * Im(w^p + w^q)
     with the index q - p taken mod m. Agrees with the exact shoelace
-    moment of the reconstructed polygon.
+    moment of the polygon whose modes these are.
 
     Only triples whose three indices p, q and q - p all lie in the
     support (nonzero coefficients) are summed, in ascending (p, q) order:
@@ -303,19 +287,3 @@ def closed_form_centroid(mv: ModeVector, n: int) -> complex:
         raise DegenerateDenominatorError(f"iterate {n} has zero area")
     return 0.5**n * z_from_modes(mv) / (9.0 * _SQRT3 * denom)
 
-
-def triple_product(m: int, p: int, q: int) -> float:
-    """The eigenvalue product lambda_p * conj(lambda_q) * lambda_{q-p}.
-
-    Always real: it equals (1/4) * Re(1 + w^p + w^q + w^(q-p)), computed
-    here from that identity so the imaginary part is zero by construction.
-    """
-    if m < 1:
-        raise WrongSizeError("m must be at least 1")
-    re = (
-        1.0
-        + root_of_unity(m, p).real
-        + root_of_unity(m, q).real
-        + root_of_unity(m, q - p).real
-    )
-    return re / 4.0

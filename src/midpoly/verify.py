@@ -6,10 +6,10 @@ along it. This module checks that claim with zero-tolerance integer
 arithmetic on the lattice form of the orbit (see `exact_poly`): centroids
 are homogeneous integer triples, equality is cross-multiplication and
 "on the line" is a vanishing 3x3 determinant. It also checks the exact
-moment scaling Z(Mv) = (3/8) Z(v) behind the claim, checks the elementary constancy for triangles and quadrilaterals, and
-demonstrates the failure of colinearity for every other vertex count via
-explicit counterexample polygons. A seeded fuzzing harness runs the
-hexagon checks over random integer inputs.
+moment scaling Z(Mv) = (3/8) Z(v) behind the claim and the constancy
+for triangles and quadrilaterals, and shows from the moment slopes of a
+witness m-gon that colinearity fails for every other vertex count. A
+seeded fuzzing harness runs the hexagon checks over random integers.
 
 Failures found by the harness are data, not exceptions: summaries carry
 pass/fail counts plus the first offending input, and identical seeds
@@ -45,7 +45,7 @@ from .exact_poly import (
     same_point,
     to_lattice,
 )
-from .spectral import FloatPolygon, ModeVector, orbit_moments, root_of_unity
+from .spectral import ModeVector, orbit_moments
 
 RATIO_REL_TOL = 1e-9
 SLOPE_DISTINCT_TOL = 1e-12
@@ -253,21 +253,6 @@ def counterexample_modes(m: int) -> ModeVector:
     return ModeVector(tuple(coeffs))
 
 
-def build_counterexample(m: int) -> FloatPolygon:
-    """The witness m-gon whose vertex k is i*w^k - w^(2k) + w^(3k).
-
-    Defined for m = 5 and m >= 7; for every other m the centroid
-    sequence is constant or colinear, so no witness exists.
-    """
-    if m == 6 or m < 5:
-        raise UnsupportedSizeError(f"no counterexample polygon for m={m}")
-    verts = tuple(
-        1j * root_of_unity(m, k) - root_of_unity(m, 2 * k) + root_of_unity(m, 3 * k)
-        for k in range(m)
-    )
-    return FloatPolygon(verts)
-
-
 @dataclass(frozen=True)
 class CounterexampleReport:
     """Slope record showing the centroids of the witness m-gon share no line.
@@ -315,10 +300,11 @@ def verify_proposition(m: int, n: int, rel_tol: float = RATIO_REL_TOL) -> Counte
     Computes Z of each iterate in mode coordinates, forms the slope
     sequence s_0 .. s_n, and checks that every successive ratio matches
     the expected value within rel_tol of the larger magnitude, with a
-    1e-12 absolute floor, and that all slopes are pairwise distinct. rel_tol must be finite and nonnegative, m at most
-    PROPOSITION_MAX_M and n at most PROPOSITION_MAX_STEPS. Raises
-    InsufficientDataError when a part of Z underflows to zero, since the
-    slope is then undefined or meaningless.
+    1e-12 absolute floor, and that all slopes are pairwise distinct.
+    rel_tol must be finite and nonnegative, m at most PROPOSITION_MAX_M
+    and n at most PROPOSITION_MAX_STEPS. Raises InsufficientDataError
+    when a part of Z underflows to zero, since the slope is then
+    undefined or meaningless.
     """
     if n < 3:
         raise ValueError("need at least three iterations")
@@ -365,9 +351,10 @@ class FuzzConfig:
 
     Vertices are drawn with independent integer coordinates uniform on
     [-coordinate_bound, coordinate_bound]^2; trial t uses the random
-    stream seeded by (seed, t), so trials are order-independent. trials
-    is at most FUZZ_MAX_TRIALS, coordinate_bound at most FUZZ_MAX_BOUND
-    and steps at most FUZZ_MAX_STEPS.
+    stream seeded by (seed, t), so trials are order-independent. seed is
+    nonnegative, since random.Random seeds from the absolute value and
+    -s would replay trial 0 of s. trials is at most FUZZ_MAX_TRIALS,
+    coordinate_bound at most FUZZ_MAX_BOUND and steps at most FUZZ_MAX_STEPS.
     """
 
     seed: int = 42
@@ -376,6 +363,8 @@ class FuzzConfig:
     steps: int = 12
 
     def __post_init__(self):
+        if self.seed < 0:
+            raise ValueError(f"seed must be nonnegative, got {self.seed}")
         if self.trials < 1:
             raise ValueError("trials must be at least 1")
         if self.trials > FUZZ_MAX_TRIALS:

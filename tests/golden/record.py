@@ -32,7 +32,6 @@ from pathlib import Path
 from midpoly.cli import main
 
 MANIFEST = Path(__file__).with_name("manifest.json")
-OUTPUT_FLAG = "--output"
 
 
 def _doc(vertices) -> str:
@@ -56,7 +55,7 @@ def _digits_doc(digits: int, seed: int, denominator: int = 1) -> str:
     """A hexagon with integer coordinates of the given number of digits, over one denominator."""
     rng = random.Random(seed)
     tail = "" if denominator == 1 else f"/{denominator}"
-    return _doc([[f"{rng.choice('-+')}{rng.randrange(10 ** (digits - 1), 10**digits)}{tail}".lstrip("+")
+    return _doc([[f"{rng.choice(('-', ''))}{rng.randrange(10 ** (digits - 1), 10**digits)}{tail}"
                   for _ in range(2)] for _ in range(6)])
 
 
@@ -64,7 +63,7 @@ def documents() -> dict[str, str]:
     """Every document a command line of the corpus reads, by file name."""
     readme = [["0", "2/5"], ["16/5", "1/2"], ["3", "-1/2"], ["12/5", "2"], ["-2", "5/2"], ["-3/10", "6/5"]]
     one_over = "1/1" + "0" * 306
-    docs = {
+    return {
         "readme_hex.json": _doc(readme),
         "l_hex.json": _doc([["0", "0"], ["2", "0"], ["2", "1"], ["1", "1"], ["1", "2"], ["0", "2"]]),
         "constant_hex.json": _doc([["1", "1"]] * 6),
@@ -97,7 +96,6 @@ def documents() -> dict[str, str]:
         "garbage_token.json": '{"vertices": [["1", "two"]]}\n',
         "zero_denominator.json": '{"vertices": [["1/0", "2"]]}\n',
     }
-    return docs
 
 
 def command_lines() -> list[list[str]]:
@@ -126,8 +124,8 @@ def command_lines() -> list[list[str]]:
         ["verify", "readme_hex.json", "--steps", "520"],
         ["verify", "readme_hex.json", "--steps", "0"],
         ["verify", "readme_hex.json", "--steps", "2001"],
-        ["verify", "readme_hex.json", OUTPUT_FLAG, out],
-        ["verify", "readme_hex.json", OUTPUT_FLAG, "no_such_dir/out.json"],
+        ["verify", "readme_hex.json", "--output", out],
+        ["verify", "readme_hex.json", "--output", "no_such_dir/out.json"],
         ["verify", "digits2000.json"],
         ["verify", "digits3000.json"],
         ["verify", "wide.json"],
@@ -145,7 +143,7 @@ def command_lines() -> list[list[str]]:
         ["iterate", "readme_hex.json", "--steps", "0", "--mode", "float"],
         ["iterate", "readme_hex.json", "--steps", "30", "--mode", "float"],
         ["iterate", "readme_hex.json", "--steps", "200", "--mode", "float"],
-        ["iterate", "readme_hex.json", "--steps", "2", OUTPUT_FLAG, out],
+        ["iterate", "readme_hex.json", "--steps", "2", "--output", out],
         ["iterate", "deep_orbit-1-0.json", "--steps", "200"],
         ["iterate", "digits2000.json", "--steps", "2"],
         ["iterate", "triangle.json", "--steps", "2"],
@@ -165,26 +163,26 @@ def command_lines() -> list[list[str]]:
                 "non_pair.json", "numeric_coordinate.json", "garbage_token.json", "zero_denominator.json"]:
         lines += [["verify", doc], ["iterate", doc]]
     lines += [
-        ["figure", "readme_hex.json", "--steps", "1", OUTPUT_FLAG, svg],
-        ["figure", "readme_hex.json", "--steps", "30", OUTPUT_FLAG, svg],
-        ["figure", "readme_hex.json", "--steps", "200", OUTPUT_FLAG, svg],
-        ["figure", "readme_hex.json", "--no-line", OUTPUT_FLAG, svg],
-        ["figure", "readme_hex.json", "--no-centroids", OUTPUT_FLAG, svg],
-        ["figure", "readme_hex.json", "--no-line", "--no-centroids", OUTPUT_FLAG, svg],
-        ["figure", "readme_hex.json", "--width", "400", "--height", "300", OUTPUT_FLAG, svg],
-        ["figure", "readme_hex.json", "--width", "1", "--height", "1", OUTPUT_FLAG, svg],
-        ["figure", "readme_hex.json", "--fade-start", "0.5", "--fade-end", "0", OUTPUT_FLAG, svg],
-        ["figure", "readme_hex.json", "--fade-start", "2", OUTPUT_FLAG, svg],
-        ["figure", "readme_hex.json", "--width", "0", OUTPUT_FLAG, svg],
-        ["figure", "readme_hex.json", "--steps", "0", OUTPUT_FLAG, svg],
-        ["figure", "readme_hex.json", "--steps", "2001", OUTPUT_FLAG, svg],
-        ["figure", "readme_hex.json", OUTPUT_FLAG, "no_such_dir/out.svg"],
-        ["figure", "deep_orbit-1-0.json", "--steps", "200", OUTPUT_FLAG, svg],
-        ["figure", "far306.json", "--no-centroids", "--no-line", OUTPUT_FLAG, svg],
-        ["figure", "wide.json", OUTPUT_FLAG, svg],
-        ["figure", "square.json", OUTPUT_FLAG, svg],
-        ["figure", "decimal_hex.json", OUTPUT_FLAG, svg],
-        ["figure", "not_json.json", OUTPUT_FLAG, svg],
+        ["figure", "readme_hex.json", "--steps", "1", "--output", svg],
+        ["figure", "readme_hex.json", "--steps", "30", "--output", svg],
+        ["figure", "readme_hex.json", "--steps", "200", "--output", svg],
+        ["figure", "readme_hex.json", "--no-line", "--output", svg],
+        ["figure", "readme_hex.json", "--no-centroids", "--output", svg],
+        ["figure", "readme_hex.json", "--no-line", "--no-centroids", "--output", svg],
+        ["figure", "readme_hex.json", "--width", "400", "--height", "300", "--output", svg],
+        ["figure", "readme_hex.json", "--width", "1", "--height", "1", "--output", svg],
+        ["figure", "readme_hex.json", "--fade-start", "0.5", "--fade-end", "0", "--output", svg],
+        ["figure", "readme_hex.json", "--fade-start", "2", "--output", svg],
+        ["figure", "readme_hex.json", "--width", "0", "--output", svg],
+        ["figure", "readme_hex.json", "--steps", "0", "--output", svg],
+        ["figure", "readme_hex.json", "--steps", "2001", "--output", svg],
+        ["figure", "readme_hex.json", "--output", "no_such_dir/out.svg"],
+        ["figure", "deep_orbit-1-0.json", "--steps", "200", "--output", svg],
+        ["figure", "far306.json", "--no-centroids", "--no-line", "--output", svg],
+        ["figure", "wide.json", "--output", svg],
+        ["figure", "square.json", "--output", svg],
+        ["figure", "decimal_hex.json", "--output", svg],
+        ["figure", "not_json.json", "--output", svg],
     ]
     lines += [
         ["fuzz", "--trials", "20"],
@@ -204,7 +202,7 @@ def command_lines() -> list[list[str]]:
         ["fuzz", "--seed", "4", "--trials", "20", "--bound", "1"],
         ["fuzz", "--seed", "4", "--trials", "6", "--bound", "1000000000"],
         ["fuzz", "--seed", "5", "--trials", "2", "--bound", "1000000000", "--steps", "200"],
-        ["fuzz", "--trials", "2", OUTPUT_FLAG, out],
+        ["fuzz", "--trials", "2", "--output", out],
         ["fuzz", "--trials", "0"],
         ["fuzz", "--trials", "10001"],
         ["fuzz", "--bound", "0"],
@@ -235,7 +233,7 @@ def command_lines() -> list[list[str]]:
         ["proposition", "7", "--tolerance", "-1"],
         ["proposition", "7", "--tolerance", "nan"],
         ["proposition", "7", "--tolerance", "inf"],
-        ["proposition", "7", OUTPUT_FLAG, out],
+        ["proposition", "7", "--output", out],
     ]
     # argparse's own usage errors; the corpus runs them at a fixed terminal width
     lines += [
@@ -256,11 +254,11 @@ def _sha256(text: str) -> str:
 
 def _run(argv: list[str]) -> dict:
     """One command line in process, in a directory holding the corpus documents."""
-    target = Path(argv[argv.index(OUTPUT_FLAG) + 1]) if OUTPUT_FLAG in argv else None
+    target = Path(argv[argv.index("--output") + 1]) if "--output" in argv else None
     stdout, stderr = StringIO(), StringIO()
     with redirect_stdout(stdout), redirect_stderr(stderr):
         try:
-            code = main(list(argv))
+            code = main(argv)
         except SystemExit as exc:  # argparse exits 2 on a usage error
             code = exc.code
     written = None

@@ -4,21 +4,24 @@ These deliberately avoid the code paths they check: the centroid oracle
 uses a triangle-fan decomposition instead of the shoelace sums, the
 Fraction loops compute on rationals where `exact_poly` computes on the
 integer lattice, the dense mode sums visit every mode where the
-spectral layer visits only the nonzero ones, the line verdict tests each
-point against a Fraction cross product where `verify` fits the line on
-integer triples, the slope distinctness check compares every pair
-where `verify` compares sorted neighbours, and the rotated-copy shoelace
-pass zips each vertex with a rotated copy of the lists where
-`exact_poly.lattice_moments` carries the previous vertex through its
-loop. `PlanePoint` and `Polygon`
-serve only as containers: every sum, difference and product below is
-plain `Fraction` arithmetic on their coordinates.
+spectral layer visits only the nonzero ones, the inverse transform takes
+one `cmath.exp` per term where `spectral.decompose` reads one table of
+roots, the line verdict tests each point against a Fraction cross
+product where `verify` fits the line on integer triples, the slope
+distinctness check compares every pair where `verify` compares sorted
+neighbours, and the rotated-copy shoelace pass zips each vertex with a
+rotated copy of the lists where `exact_poly.lattice_moments` carries the
+previous vertex through its loop. `PlanePoint` and `Polygon` serve only
+as containers: every sum, difference and product below is plain
+`Fraction` arithmetic on their coordinates.
 """
 
+import cmath
+import math
 from fractions import Fraction as F
 from typing import NamedTuple
 
-from midpoly import AreaZeroError, ModeVector, PlanePoint, Polygon, eigenvalue, root_of_unity
+from midpoly import AreaZeroError, FloatPolygon, ModeVector, PlanePoint, Polygon, eigenvalue, root_of_unity
 from midpoly.verify import SLOPE_DISTINCT_TOL
 
 
@@ -223,6 +226,15 @@ def dense_advance_modes(mv: ModeVector, n: int) -> ModeVector:
     """xi_j -> lambda_j^n xi_j on every mode, zero modes included."""
     m = mv.m
     return ModeVector(tuple(eigenvalue(m, j) ** n * c for j, c in enumerate(mv.coefficients)))
+
+
+def inverse_dft(mv: ModeVector) -> FloatPolygon:
+    """The polygon with modes mv, the inverse of `spectral.decompose`: vertex k is sum_j xi_j w^(jk)."""
+    m = mv.m
+    return FloatPolygon(tuple(
+        sum((c * cmath.exp(2j * math.pi * (j * k % m) / m) for j, c in enumerate(mv.coefficients)), 0j)
+        for k in range(m)
+    ))
 
 
 def dense_area_from_modes(mv: ModeVector) -> float:

@@ -36,7 +36,6 @@ from midpoly.cli import (
     main,
     parse_polygon_document,
     render_figure,
-    serialize_polygon_document,
     to_exact_polygon,
 )
 from midpoly.errors import (
@@ -176,14 +175,6 @@ class TestDocumentParsing:
         for token in ("1/0", "-3/000", "\u0661/\u0660"):
             with pytest.raises(PolygonDocumentError, match="^zero denominator in "):
                 parse_polygon_document(json.dumps({"vertices": [[token, "2"]]}))
-
-    def test_serialize_normalizes_and_is_idempotent(self):
-        pairs = doc({"vertices": [["4/8", "+3"], ["1.250", "-0/5"]]})
-        text = serialize_polygon_document(pairs)
-        data = json.loads(text)
-        assert data["vertices"] == [["1/2", "3"], ["1.25", "0"]]
-        again = serialize_polygon_document(parse_polygon_document(text))
-        assert again == text
 
 
 class TestFractionText:
@@ -851,6 +842,7 @@ class TestMainEntry:
              f"at most {FUZZ_MAX_STEPS} iterations, got {FUZZ_MAX_STEPS + 1}"),
             (["fuzz", "--bound", str(FUZZ_MAX_BOUND + 1)],
              f"coordinate bound must be at most {FUZZ_MAX_BOUND}, got {FUZZ_MAX_BOUND + 1}"),
+            (["fuzz", "--seed", "-1", "--trials", "3"], "seed must be nonnegative, got -1"),
             (["iterate", "HEX", "--steps", str(ITERATE_MAX_STEPS + 1)],
              f"at most {ITERATE_MAX_STEPS} iterations, got {ITERATE_MAX_STEPS + 1}"),
             (["iterate", "HEX", "--steps", str(ITERATE_MAX_STEPS + 1), "--mode", "float"],
@@ -858,7 +850,7 @@ class TestMainEntry:
             (["figure", "HEX", "--steps", str(FIGURE_MAX_STEPS + 1), "--output", "OUT"],
              f"at most {FIGURE_MAX_STEPS} iterations, got {FIGURE_MAX_STEPS + 1}"),
         ],
-        ids=["fuzz-trials", "fuzz-steps", "fuzz-bound", "iterate-steps", "iterate-float-steps", "figure-steps"],
+        ids=["fuzz-trials", "fuzz-steps", "fuzz-bound", "fuzz-seed", "iterate-steps", "iterate-float-steps", "figure-steps"],
     )
     def test_cost_limits_exit_usage(self, argv, message, tmp_path, capsys):
         hex_path = self.write(tmp_path, "hex.json", HEX_DOC)

@@ -20,17 +20,15 @@ from midpoly import (
     decompose,
     eigenvalue,
     mode_basis,
-    reconstruct,
     root_of_unity,
     signed_area,
     to_float_polygon,
-    triple_product,
     z_from_modes,
     z_moment,
 )
 from midpoly import spectral, verify
 from midpoly.spectral import orbit_moments
-from oracles import dense_advance_modes, dense_area_from_modes, dense_z_from_modes
+from oracles import dense_advance_modes, dense_area_from_modes, dense_z_from_modes, inverse_dft
 
 SQRT3 = math.sqrt(3.0)
 
@@ -132,23 +130,24 @@ class TestTransform:
 
     def test_reconstruct_constant(self):
         mv = ModeVector((3 + 4j, 0j, 0j, 0j, 0j, 0j))
-        assert all(abs(v - (3 + 4j)) <= 1e-12 for v in reconstruct(mv))
+        p = inverse_dft(mv)
+        assert all(abs(v - (3 + 4j)) <= 1e-12 for v in p)
+        assert max(abs(a - b) for a, b in zip(decompose(p).coefficients, mv.coefficients)) <= 1e-12
 
     def test_reconstruct_regular_hexagon(self):
         mv = ModeVector((0j, 1 + 0j, 0j, 0j, 0j, 0j))
-        hexa = reconstruct(mv)
+        hexa = inverse_dft(mv)
         for k, v in enumerate(hexa):
             assert abs(v - root_of_unity(6, k)) <= 1e-12
+        assert max(abs(a - b) for a, b in zip(decompose(hexa).coefficients, mv.coefficients)) <= 1e-12
 
     def test_one_root_table_per_transform(self, monkeypatch):
         m = 64
         rng = random.Random(5)
         p = spectral.FloatPolygon(tuple(complex(rng.uniform(-9, 9), rng.uniform(-9, 9)) for _ in range(m)))
-        mv = ModeVector(tuple(complex(rng.uniform(-9, 9), rng.uniform(-9, 9)) for _ in range(m)))
-        # the per-term formulas, one cmath.exp per term
+        # the per-term formula, one cmath.exp per term
         w = lambda r: cmath.exp(2j * math.pi * (r % m) / m)
         coeffs = [sum((v * w(-j * k) for k, v in enumerate(p.vertices)), 0j) / m for j in range(m)]
-        verts = [sum((c * w(j * k) for j, c in enumerate(mv.coefficients)), 0j) for k in range(m)]
 
         calls = []
         exp = cmath.exp
@@ -156,19 +155,18 @@ class TestTransform:
         got = decompose(p)
         assert len(calls) <= m
         assert got.coefficients == tuple(coeffs)
-        assert reconstruct(mv).vertices == tuple(verts)
 
     @settings(max_examples=60, deadline=None)
     @given(float_polygons(max_m=64))
     def test_round_trip(self, p):
-        back = reconstruct(decompose(p))
+        back = inverse_dft(decompose(p))
         assert max(abs(a - b) for a, b in zip(back, p)) <= 1e-12
 
     @settings(max_examples=60, deadline=None)
     @given(float_polygons(max_m=24))
     def test_coefficient_round_trip(self, p):
         mv = decompose(p)
-        again = decompose(reconstruct(mv))
+        again = decompose(inverse_dft(mv))
         assert max(abs(a - b) for a, b in zip(again.coefficients, mv.coefficients)) <= 1e-12
 
 
@@ -185,8 +183,8 @@ class TestAdvanceModes:
     @settings(max_examples=40, deadline=None)
     @given(float_polygons(max_m=16))
     def test_matches_float_midpoint_map(self, p):
-        via_modes = reconstruct(advance_modes(decompose(p), 1))
-        direct = spectral.midpoint_map(p)
+        via_modes = advance_modes(decompose(p), 1).coefficients
+        direct = decompose(spectral.midpoint_map(p)).coefficients
         assert max(abs(a - b) for a, b in zip(via_modes, direct)) <= 1e-12
 
 
@@ -297,7 +295,14 @@ class TestClosedFormCentroid:
             closed_form_centroid(ModeVector((1 + 0j, 1 + 0j, 0j, 0j, 0j, 0j)), 0)
 
 
+def triple_product(m: int, p: int, q: int) -> complex:
+    """The eigenvalue product lambda_p * conj(lambda_q) * lambda_{q-p} that z_from_modes scales by."""
+    return eigenvalue(m, p) * eigenvalue(m, q).conjugate() * eigenvalue(m, q - p)
+
+
 class TestTripleProduct:
+    """The products are real, (1/4) Re(1 + w^p + w^q + w^(q-p))."""
+
     def test_hexagon_surviving_terms(self):
         for p, q in ((1, 2), (5, 4), (4, 5), (2, 1)):
             assert abs(triple_product(6, p, q) - 0.375) <= 1e-15
@@ -312,15 +317,16 @@ class TestTripleProduct:
         for m in (5, 6, 7, 9, 12):
             for p in range(m):
                 for q in range(m):
-                    direct = eigenvalue(m, p) * eigenvalue(m, q).conjugate() * eigenvalue(m, q - p)
-                    assert abs(direct.imag) <= 1e-12
-                    assert abs(triple_product(m, p, q) - direct.real) <= 1e-12
+                    product = triple_product(m, p, q)
+                    cosines = (math.cos(2 * math.pi * r / m) for r in (p, q, q - p))
+                    assert abs(product.imag) <= 1e-12
+                    assert abs(product.real - (1.0 + sum(cosines)) / 4.0) <= 1e-12
 
     def test_slope_ratio_identity(self):
-        # ratio of the mixed to the leading product is 2 cos(2 pi / m) - 1
+        # ratio of the mixed to the leading product is 2 cos(2 pi / m) - 1, as proposition checks
         for m in (5, 7, 8, 9, 10, 11, 12):
-            mu = triple_product(m, 1, 2)
-            nu = triple_product(m, 1, 3)
+            mu = triple_product(m, 1, 2).real
+            nu = triple_product(m, 1, 3).real
             assert abs(nu / mu - (2 * math.cos(2 * math.pi / m) - 1)) <= 1e-12
 
 

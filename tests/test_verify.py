@@ -10,21 +10,21 @@ from hypothesis import strategies as st
 
 from midpoly import (
     AreaZeroError,
+    FloatPolygon,
     FuzzConfig,
     InsufficientDataError,
     PlanePoint,
     Polygon,
     UnsupportedSizeError,
     WrongSizeError,
-    build_counterexample,
     centroid_sequence,
     convergence_diagnostics,
     counterexample_modes,
+    decompose,
     fuzz_hexagons,
     midpoint_map,
     point,
-    reconstruct,
-    vertex_centroid,
+    root_of_unity,
     verify_hexagon_theorem,
     verify_proposition,
     verify_small_m_invariance,
@@ -54,6 +54,7 @@ from oracles import (
     fraction_project_out_modes_0_3,
     fraction_vertex_centroid,
     fraction_z_moment,
+    inverse_dft,
     pairwise_slopes_distinct,
     reversed_polygon,
     sub,
@@ -332,7 +333,7 @@ class TestHexagonTheorem:
         report = verify_hexagon_theorem(p, 8)
         assert report.all_colinear
         assert report.direction is None
-        assert from_homogeneous(report.anchor) == vertex_centroid(p)
+        assert from_homogeneous(report.anchor) == fraction_vertex_centroid(p)
         assert report.limit_on_line
 
     @settings(max_examples=40, deadline=None)
@@ -460,22 +461,25 @@ class TestSmallSizes:
             verify_small_m_invariance(CONSTANT_HEX, 5)
 
 
+def witness_polygon(m: int) -> FloatPolygon:
+    """The witness m-gon by its vertex rule: vertex k is i*w^k - w^(2k) + w^(3k)."""
+    return FloatPolygon(tuple(1j * root_of_unity(m, k) - root_of_unity(m, 2 * k) + root_of_unity(m, 3 * k)
+                              for k in range(m)))
+
+
 class TestCounterexample:
     def test_vertex_zero_is_i(self):
         for m in (5, 7):
-            v0 = build_counterexample(m)[0]
-            assert abs(v0 - 1j) <= 1e-15
+            assert abs(inverse_dft(counterexample_modes(m))[0] - 1j) <= 1e-15
 
     def test_matches_mode_reconstruction(self):
         for m in (5, 7, 9, 12):
-            direct = build_counterexample(m)
-            via_modes = reconstruct(counterexample_modes(m))
-            assert max(abs(a - b) for a, b in zip(direct, via_modes)) <= 1e-12
+            direct = decompose(witness_polygon(m)).coefficients
+            modes = counterexample_modes(m).coefficients
+            assert max(abs(a - b) for a, b in zip(direct, modes)) <= 1e-12
 
     def test_unsupported_sizes(self):
         for m in (1, 2, 3, 4, 6):
-            with pytest.raises(UnsupportedSizeError):
-                build_counterexample(m)
             with pytest.raises(UnsupportedSizeError):
                 counterexample_modes(m)
 
@@ -549,6 +553,10 @@ class TestFuzz:
         assert a == b
 
     def test_config_validation(self):
+        # random.Random seeds from the absolute value: seed -1 would replay trial 0 of seed 1
+        assert trial_rng(-1, 0).random() == trial_rng(1, 0).random()
+        with pytest.raises(ValueError):
+            FuzzConfig(seed=-1)
         with pytest.raises(ValueError):
             FuzzConfig(trials=0)
         with pytest.raises(ValueError):
