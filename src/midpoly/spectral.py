@@ -11,13 +11,13 @@ The transform is computed by direct O(m^2) summation from one table of
 the m roots, where simplicity and accuracy beat speed. Work in mode
 coordinates touches only a mode vector's support, the ascending indices
 of its nonzero coefficients, which the vector carries: the midpoint map
-keeps a zero mode zero, so an orbit keeps its support. One table per
-support holds each live mode's root, eigenvalue and surviving moment
-triples, and every mode sum reads it. For k nonzero modes
-`area_from_modes` costs O(k), `z_from_modes` O(k^2) and `advance_modes`
-O(k + m), since it returns a dense vector; `orbit_moments` builds the
-table once for a whole orbit and never touches the m coefficients
-again, so a step of the witness m-gon costs the same at any m.
+keeps a zero mode zero, so an orbit keeps its support. For k nonzero
+modes `area_from_modes` costs O(k) and `advance_modes` O(k + m), since
+it returns a dense vector. `orbit_moments` is the one sum of moments Z:
+it computes each live mode's root, eigenvalue and surviving moment
+triples once per run and never touches the m coefficients again, so a
+step costs O(k) plus the triples, the same at any m for the witness
+m-gon, and `z_from_modes` is its step 0.
 Skipping a zero term leaves every sum bit-identical to the dense one,
 given finite coefficients whose products do not overflow. Conversion
 from the exact representation is explicit and one way: nothing in this
@@ -29,7 +29,6 @@ from __future__ import annotations
 import cmath
 import math
 from dataclasses import dataclass, field
-from functools import cached_property
 from itertools import compress
 from typing import Iterable, Iterator
 
@@ -142,60 +141,6 @@ def decompose(p: FloatPolygon) -> ModeVector:
     return ModeVector(tuple(coeffs))
 
 
-class _ModeTable:
-    """The per-run constants of the mode sums over one support of an m-gon.
-
-    Built once from (m, support) with one root_of_unity call per live mode:
-    each mode's eigenvalue (1 + w^j) / 2 and Im w^j, and, on first use, the
-    triples of z_from_modes. Coefficients are passed as the live list,
-    aligned with the support; no method builds a dense m-tuple.
-    """
-
-    def __init__(self, m: int, support: tuple[int, ...]):
-        roots = [root_of_unity(m, j) for j in support]
-        self.m = m
-        self.support = support
-        self.eigenvalues = [(1.0 + w) / 2.0 for w in roots]
-        self.im_omega = [w.imag for w in roots]
-
-    @cached_property
-    def triples(self) -> list[tuple[int, int, int, float]]:
-        """(p, q, (q - p) mod m, Im w^p + Im w^q) as support positions, ascending in (p, q).
-
-        Only triples whose three modes are live and whose factor is nonzero.
-        """
-        position = {j: a for a, j in enumerate(self.support)}
-        out = []
-        for a, p in enumerate(self.support):
-            for b, q in enumerate(self.support):
-                c = position.get((q - p) % self.m)
-                factor = self.im_omega[a] + self.im_omega[b]
-                if factor != 0.0 and c is not None:
-                    out.append((a, b, c, factor))
-        return out
-
-    def advance(self, live: list[complex], n: int) -> list[complex]:
-        """The live coefficients after n steps: lambda_j^n xi_j."""
-        return [lam**n * c for lam, c in zip(self.eigenvalues, live)]
-
-    def z(self, live: list[complex]) -> complex:
-        total = 0j
-        for a, b, c, factor in self.triples:
-            total += live[a] * live[b].conjugate() * live[c] * factor
-        return self.m * total
-
-    def area(self, live: list[complex]) -> float:
-        total = 0.0
-        for c, im in zip(live, self.im_omega):
-            total += (c.real * c.real + c.imag * c.imag) * im
-        return 0.5 * self.m * total
-
-
-def _live(mv: ModeVector) -> list[complex]:
-    xi = mv.coefficients
-    return [xi[j] for j in mv.support]
-
-
 def advance_modes(mv: ModeVector, n: int) -> ModeVector:
     """Apply n midpoint steps in mode coordinates: xi_j -> lambda_j^n xi_j.
 
@@ -207,24 +152,22 @@ def advance_modes(mv: ModeVector, n: int) -> ModeVector:
     if n < 0:
         raise ValueError("step count must be nonnegative")
     coeffs = list(mv.coefficients)
-    for j, c in zip(mv.support, _ModeTable(mv.m, mv.support).advance(_live(mv), n)):
-        coeffs[j] = c
+    for j in mv.support:
+        coeffs[j] = eigenvalue(mv.m, j) ** n * coeffs[j]
     return ModeVector(tuple(coeffs))
 
 
 def z_from_modes(mv: ModeVector) -> complex:
-    """The moment Z in mode coordinates.
+    """The moment Z in mode coordinates: step 0 of `orbit_moments`.
 
     Evaluates m * sum_{p,q} xi_p * conj(xi_q) * xi_{q-p} * Im(w^p + w^q)
     with the index q - p taken mod m. Agrees with the exact shoelace
-    moment of the polygon whose modes these are.
-
-    Only triples whose three indices p, q and q - p all lie in the
-    support (nonzero coefficients) are summed, in ascending (p, q) order:
-    O(k^2) for k nonzero modes, and bit-identical to the full m^2 sum
-    for finite coefficients whose products do not overflow.
+    moment of the polygon whose modes these are. Like every step of
+    `orbit_moments`, it first multiplies each live coefficient by
+    lambda^0 = 1+0j: the value equals the bare sum under ==, and only the
+    sign of a zero component can differ.
     """
-    return _ModeTable(mv.m, mv.support).z(_live(mv))
+    return next(orbit_moments(mv, 0))[0]
 
 
 def area_from_modes(mv: ModeVector) -> float:
@@ -236,34 +179,60 @@ def area_from_modes(mv: ModeVector) -> float:
     Only the support is visited, O(k) for k nonzero modes; coefficients
     are assumed finite.
     """
-    return _ModeTable(mv.m, mv.support).area(_live(mv))
+    total = 0.0
+    for j in mv.support:
+        c = mv[j]
+        total += (c.real * c.real + c.imag * c.imag) * root_of_unity(mv.m, j).imag
+    return 0.5 * mv.m * total
 
 
 def orbit_moments(mv: ModeVector, n: int) -> Iterator[tuple[complex, float]]:
-    """(Z, signed area) of the midpoint iterates 0 .. n of mv, from one mode table.
+    """(Z, signed area) of the midpoint iterates 0 .. n of mv.
 
-    Iterate s has the live coefficients lambda_j^s xi_j, computed as
-    advance_modes(mv, s) computes them, so each pair equals the sums of
-    advance_modes(mv, s) bit for bit. A coefficient that underflows to
-    zero adds only zero terms, as if its mode were dropped for that step;
-    it stays in the table, since for a tiny xi_j a later lambda_j^s xi_j
-    can round to nonzero again. For k nonzero modes a run makes k
-    root_of_unity calls, and a step costs O(k) plus the surviving triples.
+    Z sums the triples (p, q, (q - p) mod m) of support indices, ascending
+    in (p, q), whose three modes are live and whose factor
+    Im w^p + Im w^q is nonzero; skipping the others leaves the full m^2
+    sum bit-identical for finite coefficients whose products do not
+    overflow. Iterate s has the live coefficients lambda_j^s xi_j,
+    computed as advance_modes(mv, s) computes them, so each pair equals
+    the sums of advance_modes(mv, s) bit for bit. A coefficient that
+    underflows to zero adds only zero terms, as if its mode were dropped
+    for that step; it stays in the sums, since for a tiny xi_j a later
+    lambda_j^s xi_j can round to nonzero again. For k nonzero modes a run
+    makes k root_of_unity calls, and a step costs O(k) plus the triples.
     """
     if n < 0:
         raise ValueError("step count must be nonnegative")
-    table = _ModeTable(mv.m, mv.support)
-    xi = _live(mv)
+    m, support = mv.m, mv.support
+    roots = [root_of_unity(m, j) for j in support]
+    eigenvalues = [(1.0 + w) / 2.0 for w in roots]
+    im_omega = [w.imag for w in roots]
+    position = {j: a for a, j in enumerate(support)}
+    triples = []
+    for a, p in enumerate(support):
+        for b, q in enumerate(support):
+            c = position.get((q - p) % m)
+            factor = im_omega[a] + im_omega[b]
+            if factor != 0.0 and c is not None:
+                triples.append((a, b, c, factor))
+    xi = [mv[j] for j in support]
     for s in range(n + 1):
-        live = table.advance(xi, s)
-        yield table.z(live), table.area(live)
+        live = [lam**s * c for lam, c in zip(eigenvalues, xi)]
+        z = 0j
+        for a, b, c, factor in triples:
+            z += live[a] * live[b].conjugate() * live[c] * factor
+        area = 0.0
+        for c, im in zip(live, im_omega):
+            area += (c.real * c.real + c.imag * c.imag) * im
+        yield m * z, 0.5 * m * area
 
 
 def closed_form_centroid(mv: ModeVector, n: int) -> complex:
     """Centroid of the n-th midpoint iterate of a hexagon, in closed form.
 
-    Requires a hexagon mode vector with (numerically) vanishing constant
-    and alternating modes. With d1 = |xi_1|^2 - |xi_5|^2 and
+    Requires a hexagon mode vector whose constant and alternating modes
+    vanish to within 1e-12 of its largest mode, so the check does not
+    depend on the polygon's scale. With d1 = |xi_1|^2 - |xi_5|^2 and
     d2 = |xi_2|^2 - |xi_4|^2, the centroid of the n-th iterate is
 
         2^(-n) * Z / (9*sqrt(3) * (d1 + 3^(-n) * d2))
@@ -278,7 +247,8 @@ def closed_form_centroid(mv: ModeVector, n: int) -> complex:
         raise WrongSizeError("closed form applies to hexagons only")
     if n < 0:
         raise ValueError("step count must be nonnegative")
-    if abs(mv[0]) > 1e-12 or abs(mv[3]) > 1e-12:
+    tol = 1e-12 * max(map(abs, mv.coefficients))
+    if abs(mv[0]) > tol or abs(mv[3]) > tol:
         raise ValueError("modes 0 and 3 must be projected out first")
     d1 = abs(mv[1]) ** 2 - abs(mv[5]) ** 2
     d2 = abs(mv[2]) ** 2 - abs(mv[4]) ** 2

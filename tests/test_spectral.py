@@ -3,6 +3,7 @@
 import cmath
 import math
 import random
+import time
 from fractions import Fraction as F
 
 import pytest
@@ -16,10 +17,13 @@ from midpoly import (
     WrongSizeError,
     advance_modes,
     area_from_modes,
+    centroid,
     closed_form_centroid,
     decompose,
     eigenvalue,
+    iterate,
     mode_basis,
+    project_out_modes_0_3,
     root_of_unity,
     signed_area,
     to_float_polygon,
@@ -38,6 +42,12 @@ def dyadic_hexagon(rng: random.Random) -> Polygon:
     return Polygon.from_coords(
         [(F(rng.randint(-160, 160), 16), F(rng.randint(-160, 160), 16)) for _ in range(6)]
     )
+
+
+def readme_hexagon(scale) -> Polygon:
+    """The README hexagon with every coordinate multiplied by scale."""
+    coords = [(0, F(2, 5)), (F(16, 5), F(1, 2)), (3, F(-1, 2)), (F(12, 5), 2), (-2, F(5, 2)), (F(-3, 10), F(6, 5))]
+    return Polygon.from_coords([(F(x) * scale, F(y) * scale) for x, y in coords])
 
 
 float_coords = st.floats(min_value=-10.0, max_value=10.0, allow_nan=False)
@@ -294,6 +304,23 @@ class TestClosedFormCentroid:
         with pytest.raises(ValueError):
             closed_form_centroid(ModeVector((1 + 0j, 1 + 0j, 0j, 0j, 0j, 0j)), 0)
 
+    @pytest.mark.parametrize("scale", [10**6, 10**9, 10**12])
+    def test_projected_hexagon_at_any_scale(self, scale):
+        # after the exact projection |xi_0| is below 1e-16 of the largest
+        # mode, but about 1e-10 in absolute terms at scale 10^6
+        reduced = project_out_modes_0_3(readme_hexagon(scale))
+        mv = decompose(to_float_polygon(reduced))
+        for n, poly in enumerate(iterate(reduced, 8)):
+            g = centroid(poly)
+            exact = complex(float(g.x), float(g.y))
+            assert abs(closed_form_centroid(mv, n) - exact) <= 1e-9 * abs(exact)
+
+    @pytest.mark.parametrize("scale", [F(1), F(1, 10**13)])
+    def test_unprojected_hexagon_at_any_scale(self, scale):
+        mv = decompose(to_float_polygon(readme_hexagon(scale)))
+        with pytest.raises(ValueError):
+            closed_form_centroid(mv, 2)
+
 
 def triple_product(m: int, p: int, q: int) -> complex:
     """The eigenvalue product lambda_p * conj(lambda_q) * lambda_{q-p} that z_from_modes scales by."""
@@ -408,3 +435,12 @@ class TestSparseSupport:
         monkeypatch.setattr(cmath, "exp", lambda z: calls.append(z) or exp(z))
         verify.verify_proposition(64, 10)  # the witness has live modes 1, 2 and 3
         assert len(calls) == 3
+
+    @pytest.mark.parametrize("function", [area_from_modes, lambda mv: advance_modes(mv, 10)])
+    def test_dense_vector_costs_stay_linear(self, function):
+        # O(k) in the k = 4096 live modes: a few ms; the k^2 triples of
+        # orbit_moments would take seconds
+        mv = ModeVector(tuple(complex(1.0, j) for j in range(4096)))
+        start = time.perf_counter()
+        function(mv)
+        assert time.perf_counter() - start < 1.0
