@@ -13,7 +13,9 @@ homogeneous integer triple (Zx, Zy, 3 * A2 * L), i.e. the point
 (Zx / w, Zy / w). The shoelace loop sums each edge's endpoints for Z,
 and those edge sums are W_{n+1}, so one pass yields the moments of W_n
 and the next iterate. Every command works on these integers directly,
-up to the printed report or the float figure.
+up to the printed report or the float figure. The pass has a
+straight-line form for m = 6, chosen by the vertex count, since every
+command that walks an orbit of centroids takes hexagons only.
 
 All values are immutable and all operations are pure functions, so callers
 may copy them freely and parallelize over independent polygons.
@@ -193,7 +195,33 @@ def lattice_moments(
     lattice_step(ys)), which the pass returns as well. The loop carries
     each edge's first vertex over from the edge before and closes the
     polygon with the edge (m - 1, 0) after it.
+
+    Hexagons, the only polygons whose orbits `verify`, `fuzz`, `figure`
+    and the moment-scaling check walk, take a straight-line pass over
+    six unpacked vertices instead: the same cross products, edge sums
+    and totals, with no loop or list appends. On the few-dozen-bit
+    numbers of a `fuzz` orbit that saves about a quarter of a step's
+    time; at 200 steps, where the big-integer products dominate, about
+    a tenth. Every other m takes the loop.
     """
+    if len(xs) == 6:
+        x0, x1, x2, x3, x4, x5 = xs
+        y0, y1, y2, y3, y4, y5 = ys
+        c0 = x0 * y1 - x1 * y0
+        c1 = x1 * y2 - x2 * y1
+        c2 = x2 * y3 - x3 * y2
+        c3 = x3 * y4 - x4 * y3
+        c4 = x4 * y5 - x5 * y4
+        c5 = x5 * y0 - x0 * y5
+        sx0, sx1, sx2, sx3, sx4, sx5 = x0 + x1, x1 + x2, x2 + x3, x3 + x4, x4 + x5, x5 + x0
+        sy0, sy1, sy2, sy3, sy4, sy5 = y0 + y1, y1 + y2, y2 + y3, y3 + y4, y4 + y5, y5 + y0
+        return (
+            c0 + c1 + c2 + c3 + c4 + c5,
+            sx0 * c0 + sx1 * c1 + sx2 * c2 + sx3 * c3 + sx4 * c4 + sx5 * c5,
+            sy0 * c0 + sy1 * c1 + sy2 * c2 + sy3 * c3 + sy4 * c4 + sy5 * c5,
+            [sx0, sx1, sx2, sx3, sx4, sx5],
+            [sy0, sy1, sy2, sy3, sy4, sy5],
+        )
     a2 = zx = zy = 0
     next_xs: list[int] = []
     next_ys: list[int] = []

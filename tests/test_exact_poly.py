@@ -53,6 +53,9 @@ integer_coordinates = st.integers(1, 12).flatmap(
 )
 
 
+hexagon_coordinates = st.tuples(*[st.lists(st.integers(-2**600, 2**600), min_size=6, max_size=6)] * 2)
+
+
 def polygon_strategy(m: int):
     return st.lists(
         st.tuples(rationals, rationals), min_size=m, max_size=m
@@ -282,3 +285,16 @@ class TestLatticeSteps:
         moments = lattice_moments(xs, ys)
         assert moments == rotated_copy_moments(xs, ys)
         assert moments[3:] == (lattice_step(xs), lattice_step(ys))
+
+    @settings(max_examples=200, deadline=None)
+    @given(hexagon_coordinates)
+    @example(([2**600, -2**600, 3, 2**599, -7, 1], [-2**600, 5, 2**600, -1, 0, 2**598]))
+    @example(([0, 1, 2, 3, 4, 5], [0, 2, 4, 6, 8, 10]))  # zero area
+    @example(([1, 1, 4, 4, -2, -2], [3, 3, 0, 0, 5, 5]))  # repeated vertices
+    @example(([-3, -9, -1, -5, -2, -8], [-4, -1, -7, -2, -6, -3]))
+    def test_hexagon_pass_matches_rotated_copies(self, coords):
+        # the straight-line m = 6 pass, on lists and on the tuples `fuzz` passes
+        xs, ys = coords
+        expected = rotated_copy_moments(xs, ys)
+        assert lattice_moments(xs, ys) == expected
+        assert lattice_moments(tuple(xs), tuple(ys)) == expected

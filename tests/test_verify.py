@@ -39,6 +39,7 @@ from midpoly.verify import (
     _decide_line,
     _fit_line,
     _on_line,
+    random_integer_coords,
     random_integer_polygon,
     slopes_pairwise_distinct,
     trial_rng,
@@ -460,6 +461,17 @@ class TestSmallSizes:
         with pytest.raises(WrongSizeError):
             verify_small_m_invariance(CONSTANT_HEX, 5)
 
+    def test_step_count_validated(self):
+        tri = Polygon.from_coords([(0, 0), (3, 0), (0, 3)])
+        quad = Polygon.from_coords([(0, 0), (4, 0), (5, 3), (1, 2)])
+        with pytest.raises(ValueError, match="nonnegative"):
+            verify_small_m_invariance(quad, -1)
+        with pytest.raises(ValueError, match="at least one iteration"):
+            verify_small_m_invariance(quad, 0)
+        with pytest.raises(ValueError, match="nonnegative"):
+            verify_small_m_invariance(tri, -1)
+        assert verify_small_m_invariance(tri, 0)
+
 
 def witness_polygon(m: int) -> FloatPolygon:
     """The witness m-gon by its vertex rule: vertex k is i*w^k - w^(2k) + w^(3k)."""
@@ -546,6 +558,23 @@ class TestFuzz:
         assert summary.insufficient_data > 0
         assert summary.theorem_failures == 0
         assert summary.z_scaling_failures == 0
+
+    @pytest.mark.parametrize("bound", [0, 1, 2, 7, 8, 9, 15, 16, 10**9])
+    def test_draws_equal_randint_stream(self, bound):
+        for seed in range(200):
+            rng, ref = trial_rng(seed, 0), trial_rng(seed, 0)
+            m = 1 + seed % 12
+            expected = tuple((ref.randint(-bound, bound), ref.randint(-bound, bound)) for _ in range(m))
+            assert random_integer_coords(rng, m, bound) == expected
+            # the streams stay aligned for whatever the caller draws next
+            assert rng.getstate() == ref.getstate()
+
+    def test_negative_bound_rejected_before_drawing(self):
+        rng = trial_rng(42, 0)
+        state = rng.getstate()
+        with pytest.raises(ValueError):
+            random_integer_coords(rng, 6, -1)
+        assert rng.getstate() == state
 
     def test_trial_streams_are_reproducible(self):
         a = trial_rng(42, 5).random()
