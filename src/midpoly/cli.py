@@ -158,8 +158,8 @@ def _dumps(payload) -> str:
     """The text of payload as the json module prints it with indent=2 and
     sorted keys, plus a final newline, written without its pure-Python encoder.
 
-    Takes str, int, bool, float, None, lists, tuples and dicts with str
-    keys; any other type raises TypeError.
+    Takes str, int, bool, float, None, lists, tuples (fraction pairs too)
+    and dicts with str keys; any other type raises TypeError.
     """
     out: list[str] = []
     _write_json(payload, "\n", out)
@@ -167,18 +167,37 @@ def _dumps(payload) -> str:
     return "".join(out)
 
 
+class _FractionPair(tuple):
+    """Two fraction_text strings, such as "-5/3", needing no escaping: _pair_template(newline) % pair."""
+
+
+_pair_template = '[{0}  "%s",{0}  "%s"{0}]'.format
+
+
 def _write_json(value, newline: str, out: list[str]) -> None:
     """Append the indented JSON text of value; newline opens its nested lines.
 
-    A container writes its items of an exact type in _JSON_SCALARS in
-    place and recurses for the rest; a subclass of a scalar type, such as
-    an IntEnum, takes the isinstance chain, as in the json module.
+    A fraction pair fills a template. Five or more items of one exact type,
+    int, finite float or _FractionPair, are one join (fewer cost less in the
+    loop). Otherwise a container writes its items of an exact type in
+    _JSON_SCALARS in place and recurses for the rest; a scalar subclass,
+    such as an IntEnum, takes the isinstance chain, as in the json module.
     """
     if isinstance(value, (list, tuple)):
         if not value:
             out.append("[]")
             return
+        if type(value) is _FractionPair:
+            out.append(_pair_template(newline) % value)
+            return
         inner = newline + "  "
+        kind = type(value[0])
+        if len(value) > 4 and kind in (int, float, _FractionPair) and len(set(map(type, value))) == 1:
+            fmt = _pair_template(inner).__mod__ if kind is _FractionPair else kind.__repr__
+            text = ("," + inner).join(map(fmt, value))
+            if kind is not float or "n" not in text:  # nan, inf and -inf: the loop prints NaN, Infinity
+                out.append("[" + inner + text + newline + "]")
+                return
         sep = "[" + inner
         for item in value:
             out.append(sep)
@@ -227,19 +246,32 @@ def _fields(obj) -> dict:
 
 
 def fraction_text(x: int, w: int) -> str:
-    """str(Fraction(x, w)) for w != 0, without building the Fraction."""
+    """str(Fraction(x, w)) for w != 0, without building the Fraction; see _reduced_text."""
     if w < 0:
         x, w = -x, -w
-    g = math.gcd(x, w)
-    return str(x // g) if g == w else f"{x // g}/{w // g}"
+    tw = (w & -w).bit_length() - 1
+    return _reduced_text(x, w >> tw, tw)
+
+
+def _reduced_text(x: int, w_odd: int, tw: int) -> str:
+    """fraction_text(x, w_odd << tw) for odd w_odd: gcd(x, w) = gcd(x_odd, w_odd) << min(tv, tw), 2^tv in x."""
+    if not x:
+        return "0"
+    tv = (x & -x).bit_length() - 1
+    g = math.gcd(x >> tv, w_odd)
+    t = min(tv, tw)
+    den = w_odd // g << (tw - t)
+    return str((x >> t) // g) if den == 1 else f"{(x >> t) // g}/{den}"
 
 
 def _homogeneous_json(h: Homogeneous | None):
-    """The point (x / w, y / w) as a pair of fraction strings."""
+    """The point (x / w, y / w), w > 0, as a pair of fraction strings, w's odd part found once."""
     if h is None:
         return None
     x, y, w = h
-    return [fraction_text(x, w), fraction_text(y, w)]
+    tw = (w & -w).bit_length() - 1
+    w_odd = w >> tw
+    return _FractionPair((_reduced_text(x, w_odd, tw), _reduced_text(y, w_odd, tw)))
 
 
 def _complex_json(z: complex | None):

@@ -566,13 +566,20 @@ def convergence_diagnostics(p: Polygon, n: int) -> ConvergenceDiagnostics:
     return diagnostics_from_report(verify_hexagon_theorem(p, n))
 
 
+def _step_sign(a: tuple[int, int], b: tuple[int, int], qa: float | None, qb: float | None) -> int:
+    """Sign of b - a, fractions (num, den) with den > 0; correctly rounded quotients qa != qb order them."""
+    if qa is not None and qb is not None and qa != qb:
+        return 1 if qb > qa else -1
+    return _sign(b[0] * a[1] - a[0] * b[1])
+
+
 def diagnostics_from_report(report: ColinearityReport) -> ConvergenceDiagnostics:
     """Projection and distance-ratio diagnostics from a finished theorem check.
 
-    Every value starts as an exact ratio of integers: signs are decided
-    on those, and each reported float is the correctly rounded quotient,
-    or None where that is not a normal double.
-    Requires at least three defined centroids past the first iterate.
+    Every value starts as an exact ratio of integers: signs are exact,
+    read off correctly rounded quotients where those differ (_step_sign),
+    and each reported float is such a quotient, or None where that is not
+    a normal double. Requires at least three defined centroids past the first iterate.
     """
     lx, ly, lw = report.limit
     defined = [(k, g) for k, g in enumerate(report.orbit) if k >= 1 and g is not None]
@@ -582,17 +589,19 @@ def diagnostics_from_report(report: ColinearityReport) -> ConvergenceDiagnostics
     # the report's triples have w > 0. direction = (dx, dy) / c; centroid minus limit = (ox, oy) / ow
     dx, dy, c = (1, 0, 1) if report.direction is None else report.direction
     norm2 = dx * dx + dy * dy
-    offsets = [(x * lw - lx * w, y * lw - ly * w, w * lw) for _, (x, y, w) in defined]
+    rows = []
+    for k, (x, y, w) in defined:
+        ox, oy, ow = x * lw - lx * w, y * lw - ly * w, w * lw
+        # parameter along the line, (offset . direction) / |direction|^2, as num / den with den > 0
+        num, den = (ox * dx + oy * dy) * c, ow * norm2
+        rows.append((k, (num, den), _normal_quotient(num, den), _normal_quotient(ox * ox + oy * oy, ow * ow)))
+    indices, params, projections, dist2 = zip(*rows)
 
-    indices = tuple(k for k, _ in defined)
-    # parameter along the line, (offset . direction) / |direction|^2, as num / den with den > 0
-    params = [((ox * dx + oy * dy) * c, ow * norm2) for ox, oy, ow in offsets]
-
-    signs = [_sign(num) for num, _ in params]
-    nonzero = [s for s in signs if s != 0]
+    nonzero = [1 if num > 0 else -1 for num, _ in params if num]
     sign_changes = sum(1 for a, b in zip(nonzero, nonzero[1:]) if a != b)
 
-    diff_signs = [_sign(nb * da - na * db) for (na, da), (nb, db) in zip(params, params[1:])]
+    diff_signs = [_step_sign(a, b, qa, qb)
+                  for a, b, qa, qb in zip(params, params[1:], projections, projections[1:])]
     stable_from: int | None = None
     run_sign = 0
     for pos in range(len(diff_signs) - 1, -1, -1):
@@ -607,15 +616,14 @@ def diagnostics_from_report(report: ColinearityReport) -> ConvergenceDiagnostics
     if stable_from is None:
         stable_from = indices[0]
 
-    dist2 = [_normal_quotient(ox * ox + oy * oy, ow * ow) for ox, oy, ow in offsets]
     ratios = [
         None if kb != ka + 1 or not a2 or not b2 else math.sqrt(b2) / math.sqrt(a2)
-        for (ka, _), (kb, _), a2, b2 in zip(defined, defined[1:], dist2, dist2[1:])
+        for ka, kb, a2, b2 in zip(indices, indices[1:], dist2, dist2[1:])
     ]
 
     return ConvergenceDiagnostics(
         indices=indices,
-        projections=tuple(_normal_quotient(num, den) for num, den in params),
+        projections=projections,
         stable_from=stable_from,
         sign_changes=sign_changes,
         distance_ratios=tuple(ratios),

@@ -1,15 +1,22 @@
-"""Mutation check of the exact kernel, the fuzz draws and the spectral mode sums.
+"""Mutation check of the exact kernel, the fuzz draws, the spectral mode
+sums and the report writer.
 
 Each mutant replaces one exact fragment of one source file under
-src/midpoly/. For each, the script copies src/, tests/ and
-pyproject.toml to a temporary directory, applies the mutant there and
-runs
+src/midpoly/ and names the tests that must kill it. For each, the
+script copies src/, tests/ and pyproject.toml to a temporary directory,
+applies the mutant there and runs, for a mutant of spectral.py,
+exact_poly.py or verify.py,
 
     python -m pytest -x -q tests/test_spectral.py tests/test_exact_poly.py \
         tests/test_verify.py tests/test_acceptance.py tests/test_golden.py
 
-The mutant is killed when that run fails. The unmutated copy runs first
-and must pass, or no kill would mean anything. From the repository root:
+and for a mutant of cli.py
+
+    python -m pytest -x -q tests/test_cli.py
+
+The mutant is killed when that run fails. The unmutated copy runs each
+of those test lists first and must pass them, or no kill would mean
+anything. From the repository root:
 
     python tests/mutants.py
 
@@ -32,15 +39,18 @@ ROOT = Path(__file__).resolve().parent.parent
 SPECTRAL = Path("src/midpoly/spectral.py")
 EXACT_POLY = Path("src/midpoly/exact_poly.py")
 VERIFY = Path("src/midpoly/verify.py")
-TESTS = [
+CLI = Path("src/midpoly/cli.py")
+KERNEL_TESTS = (
     "tests/test_spectral.py",
     "tests/test_exact_poly.py",
     "tests/test_verify.py",
     "tests/test_acceptance.py",
     "tests/test_golden.py",
-]
+)
+CLI_TESTS = ("tests/test_cli.py",)
 
-# (name, file, fragment, replacement)
+# (name, file, fragment, replacement); a mutant of cli.py must fall to
+# CLI_TESTS, any other to KERNEL_TESTS
 MUTANTS = [
     ("triple index p - q", SPECTRAL, "position.get((q - p) % m)", "position.get((p - q) % m)"),
     ("conjugate on the first mode", SPECTRAL, "live[a] * live[b].conjugate()", "live[a].conjugate() * live[b]"),
@@ -61,12 +71,21 @@ MUTANTS = [
     # bound `fuzz` accepts; at bound 0 (width 1) it draws getrandbits(0),
     # which consumes nothing, where randint consumes one bit per draw.
     ("draw bit length of width - 1", VERIFY, "k = width.bit_length()", "k = (width - 1).bit_length()"),
+    ("equal-quotient fallback dropped", VERIFY, "qb is not None and qa != qb", "qb is not None"),
+    ("gcd two-power from x alone", CLI, "t = min(tv, tw)", "t = tv"),
+    ("fraction pair template loses a quote", CLI, """'[{0}  "%s",""", """'[{0}  %s","""),
+    ("joined floats skip the non-finite check", CLI, 'if kind is not float or "n" not in text:', "if True:"),
+    ("joined lists accept bool among int", CLI, "len(set(map(type, value))) == 1", "True"),
 ]
 
 
-def run_tests(tree: Path) -> bool:
+def tests_for(path: Path) -> tuple[str, ...]:
+    return CLI_TESTS if path == CLI else KERNEL_TESTS
+
+
+def run_tests(tree: Path, tests: tuple[str, ...]) -> bool:
     """Whether the tests pass on the copy at tree."""
-    command = [sys.executable, "-m", "pytest", "-x", "-q", "-p", "no:cacheprovider", *TESTS]
+    command = [sys.executable, "-m", "pytest", "-x", "-q", "-p", "no:cacheprovider", *tests]
     # no bytecode: a mutant of the same size written within the second of
     # the last compile would otherwise run from the stale .pyc
     env = {**os.environ, "PYTHONPATH": "src", "PYTHONDONTWRITEBYTECODE": "1"}
@@ -91,13 +110,14 @@ def main() -> int:
     with tempfile.TemporaryDirectory() as tmp:
         tree = Path(tmp)
         copy_tree(tree)
-        if not run_tests(tree):
-            print("the unmutated tree fails its tests")
-            return 1
+        for tests in sorted({tests_for(path) for _, path, _, _ in MUTANTS}):
+            if not run_tests(tree, tests):
+                print(f"the unmutated tree fails {' '.join(tests)}")
+                return 1
         for name, path, fragment, replacement in MUTANTS:
             (tree / path).write_text(sources[path].replace(fragment, replacement), encoding="utf-8")
             start = time.perf_counter()
-            killed = not run_tests(tree)
+            killed = not run_tests(tree, tests_for(path))
             (tree / path).write_text(sources[path], encoding="utf-8")
             print(f"{'killed  ' if killed else 'SURVIVED'} {name} ({time.perf_counter() - start:.1f} s)", flush=True)
             if not killed:

@@ -27,6 +27,7 @@ from midpoly.cli import (
     ITERATE_MAX_STEPS,
     FigureSpec,
     _dumps,
+    _FractionPair,
     cmd_figure,
     cmd_fuzz,
     cmd_iterate,
@@ -366,6 +367,9 @@ json_values = st.recursive(
 )
 
 
+fraction_strings = st.builds(fraction_text, st.integers(-(2**200), 2**200), st.integers(1, 2**200))
+
+
 class _Level(enum.IntEnum):
     LOW = 1
 
@@ -393,6 +397,41 @@ class TestReportWriter:
     @example({_Tag("k"): _Level.LOW, "r": (_Real(-0.0),), "t": {"x": _Tag("")}})
     def test_matches_json_module(self, value):
         assert _dumps(value) == json.dumps(value, indent=2, sort_keys=True) + "\n"
+
+    @settings(max_examples=200, deadline=None)
+    @given(st.lists(st.one_of(st.none(), st.tuples(fraction_strings, fraction_strings)), max_size=12))
+    @example([("0", "-5/3")] * 5)
+    @example([("1", "2")] * 5 + [None])
+    def test_fraction_pairs_match_plain_lists(self, items):
+        pairs = [None if p is None else _FractionPair(p) for p in items]
+        plain = [None if p is None else list(p) for p in items]
+        for value, reference in (
+            (pairs, plain),
+            ({"centroids": pairs, "limit_point": pairs[0] if pairs else None},
+             {"centroids": plain, "limit_point": plain[0] if plain else None}),
+            ([[pairs]], [[plain]]),
+        ):
+            assert _dumps(value) == json.dumps(reference, indent=2, sort_keys=True) + "\n"
+
+    @settings(max_examples=300, deadline=None)
+    @given(st.one_of(st.lists(st.floats(), min_size=5, max_size=40),
+                     st.lists(st.integers(), min_size=5, max_size=40)))
+    @example([0.5] * 8 + [math.inf])
+    @example([-math.inf] + [0.5] * 8)
+    @example([1.0, 2.0, math.nan, 3.0, 4.0])
+    @example([-0.0] * 6)
+    @example([1, True])
+    @example([1, 2, 3, 4, True])
+    @example([True, 1, 2, 3, 4])
+    @example([1, 2, 3, 4, _Level.LOW])
+    @example([_Level.LOW] * 6)
+    @example([1.0, 2.0, 3.0, 4.0, _Real(0.5)])
+    @example([1.0, 2.0, 3.0, 4.0, 5])
+    @example([])
+    def test_homogeneous_lists_match_json_module(self, value):
+        # five items and up, all of one exact type int or float, are written with one join
+        for payload in (value, {"k": value}, [value, tuple(value)]):
+            assert _dumps(payload) == json.dumps(payload, indent=2, sort_keys=True) + "\n"
 
     @pytest.mark.parametrize("leaf", [1 + 2j, Fraction(1, 3), {1, 2}, b"bytes"])
     def test_unsupported_leaf_raises_type_error(self, leaf):
@@ -805,6 +844,34 @@ class TestMainEntry:
         # the counting wrappers are live: centroid_sequence converts each centroid
         midpoly.verify.centroid_sequence(to_exact_polygon(doc(L_HEX_DOC)), 0)
         assert calls == ["from_homogeneous"]
+
+    def test_verify_report_escapes_no_centroid_and_orders_steps_by_floats(self, monkeypatch):
+        # the fraction strings skip JSON escaping, and every step between
+        # the projections of the README hexagon's 200 centroids is ordered by
+        # their unequal quotients, without a cross product
+        import midpoly.cli
+        import midpoly.verify
+
+        escaped, signs = [], []
+        original_str, original_sign = midpoly.cli._json_str, midpoly.verify._sign
+
+        def counting_str(s):
+            escaped.append(s)
+            return original_str(s)
+
+        def counting_sign(x):
+            signs.append(x)
+            return original_sign(x)
+
+        monkeypatch.setattr(midpoly.cli, "_json_str", counting_str)
+        monkeypatch.setitem(midpoly.cli._JSON_SCALARS, str, counting_str)
+        monkeypatch.setattr(midpoly.verify, "_sign", counting_sign)
+        code, text = cmd_verify(doc(HEX_DOC), 200)
+        assert code == EXIT_OK
+        assert len(json.loads(text)["centroids"]) == 201
+        assert "schema" in escaped and "verify/1" in escaped
+        assert [s for s in escaped if re.fullmatch(r"-?\d+(/\d+)?", s)] == []
+        assert signs == []
 
     @pytest.mark.parametrize("document", [HEX_DOC, L_HEX_DOC, CONSTANT_HEX_DOC])
     def test_iterate_and_figure_stay_on_integers(self, document, monkeypatch):

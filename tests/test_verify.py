@@ -38,7 +38,10 @@ from midpoly.verify import (
     FuzzSummary,
     _decide_line,
     _fit_line,
+    _normal_quotient,
     _on_line,
+    _sign,
+    _step_sign,
     random_integer_coords,
     random_integer_polygon,
     slopes_pairwise_distinct,
@@ -93,6 +96,42 @@ def slope_lists(draw):
         max_size=6,
     ))
     return draw(st.permutations(base + near))
+
+
+def _rounded(num: int, den: int) -> float | None:
+    """num / den correctly rounded, subnormals and signed zeros included; None where it overflows."""
+    try:
+        return num / den
+    except OverflowError:
+        return None
+
+
+@st.composite
+def parameter_pairs(draw):
+    """Two parameters (num, den), den > 0, of up to 500 bits, whose quotients often tie or are missing.
+
+    b is drawn freely, one unit from a in the numerator, a's value or one
+    unit off over a larger denominator, or an exact zero. The pair is
+    then scaled by 2**1100 in its numerators or denominators, so that
+    both quotients overflow or underflow, or left as it is.
+    """
+    na, da = draw(st.integers(-(2**500), 2**500)), draw(st.integers(1, 2**500))
+    shape = draw(st.sampled_from(["free", "unit", "scaled", "zero"]))
+    if shape == "free":
+        nb, db = draw(st.integers(-(2**500), 2**500)), draw(st.integers(1, 2**500))
+    elif shape == "unit":
+        nb, db = na + draw(st.sampled_from([-1, 1])), da
+    elif shape == "scaled":
+        k = draw(st.integers(2, 2**64))
+        nb, db = na * k + draw(st.integers(-1, 1)), da * k
+    else:
+        nb, db = 0, draw(st.integers(1, 2**500))
+    shift = draw(st.sampled_from([0, 1100, -1100]))
+    if shift > 0:
+        na, nb = na << shift, nb << shift
+    elif shift < 0:
+        da, db = da << -shift, db << -shift
+    return (na, da), (nb, db)
 
 
 def reference_fuzz(cfg: FuzzConfig) -> FuzzSummary:
@@ -595,6 +634,23 @@ class TestFuzz:
 
 
 class TestConvergenceDiagnostics:
+    @settings(max_examples=500, deadline=None)
+    @given(parameter_pairs(), st.sampled_from([_normal_quotient, _rounded]))
+    # one unit apart in a 500-bit numerator: equal quotients
+    @example(((2**500, 3**300), (2**500 + 1, 3**300)), _normal_quotient)
+    @example(((2**500 + 1, 3**300), (2**500, 3**300)), _normal_quotient)
+    # subnormal and overflowing quotients
+    @example(((1, 2**1060), (2, 2**1060)), _rounded)
+    @example(((1, 2**1060), (2, 2**1060)), _normal_quotient)
+    @example(((2**1100, 1), (2**1100 + 1, 1)), _normal_quotient)
+    # an exact zero, and -0.0, the rounded value of a tiny negative
+    @example(((0, 5), (0, 7)), _normal_quotient)
+    @example(((-1, 2**1100), (0, 1)), _rounded)
+    @example(((0, 1), (-1, 2**1100)), _rounded)
+    def test_step_sign_matches_cross_product(self, pair, quotient):
+        (na, da), (nb, db) = a, b = pair
+        assert _step_sign(a, b, quotient(*a), quotient(*b)) == _sign(nb * da - na * db)
+
     def test_same_sign_imbalances_never_flip(self):
         p = Polygon.from_coords(SAME_SIGN_IMBALANCE_HEX)
         diag = convergence_diagnostics(p, 40)
