@@ -10,12 +10,12 @@ L * 2^n, with W_n[k] = W_{n-1}[k] + W_{n-1}[k+1]. Twice the area A2 and
 the moment Z of W_n are integer shoelace sums: the polygon W / L has
 signed area A2 / (2 L^2) and moment Z / L^3, and its centroid is the
 homogeneous integer triple (Zx, Zy, 3 * A2 * L), i.e. the point
-(Zx / w, Zy / w). The shoelace loop sums each edge's endpoints for Z,
-and those edge sums are W_{n+1}, so one pass yields the moments of W_n
-and the next iterate. Every command works on these integers directly,
-up to the printed report or the float figure. The pass has a
-straight-line form for m = 6, chosen by the vertex count, since every
-command that walks an orbit of centroids takes hexagons only.
+(Zx / w, Zy / w). Z weighs each edge by the sum of its endpoints, and
+those edge sums are W_{n+1}, so one pass takes one midpoint step and
+yields the moments of W_n with the next iterate. Every command works on
+these integers directly, up to the printed report or the float figure.
+Hexagons, the only polygons whose orbits a command walks, take a
+straight-line form of that pass.
 
 All values are immutable and all operations are pure functions, so callers
 may copy them freely and parallelize over independent polygons.
@@ -190,19 +190,14 @@ def lattice_moments(
     """(A2, Zx, Zy, xs', ys') of an integer polygon of m >= 1 vertices in one shoelace pass.
 
     A2 is twice the signed area and (Zx, Zy) the moment Z. Z weighs each
-    edge's cross product by the sum of its endpoints, W[k] + W[k+1], and
-    those sums are the next iterate (xs', ys') = (lattice_step(xs),
-    lattice_step(ys)), which the pass returns as well. The loop carries
-    each edge's first vertex over from the edge before and closes the
-    polygon with the edge (m - 1, 0) after it.
+    edge's cross product by the sum of its endpoints, W[k] + W[k+1]. Those
+    sums are the next iterate (xs', ys'), which the pass takes first with
+    `lattice_step`, returns, and reads every cross product off.
 
     Hexagons, the only polygons whose orbits `verify`, `fuzz`, `figure`
     and the moment-scaling check walk, take a straight-line pass over
     six unpacked vertices instead: the same cross products, edge sums
-    and totals, with no loop or list appends. On the few-dozen-bit
-    numbers of a `fuzz` orbit that saves about a quarter of a step's
-    time; at 200 steps, where the big-integer products dominate, about
-    a tenth. Every other m takes the loop.
+    and totals, with no loop or list appends.
     """
     if len(xs) == 6:
         x0, x1, x2, x3, x4, x5 = xs
@@ -222,34 +217,13 @@ def lattice_moments(
             [sx0, sx1, sx2, sx3, sx4, sx5],
             [sy0, sy1, sy2, sy3, sy4, sy5],
         )
+    next_xs, next_ys = lattice_step(xs), lattice_step(ys)
     a2 = zx = zy = 0
-    next_xs: list[int] = []
-    next_ys: list[int] = []
-    x0 = xs[0]
-    y0 = ys[0]
-    for k in range(1, len(xs)):
-        x1 = xs[k]
-        y1 = ys[k]
-        c = x0 * y1 - x1 * y0
-        sx = x0 + x1
-        sy = y0 + y1
+    for x, y, sx, sy in zip(xs, ys, next_xs, next_ys):
+        c = x * sy - sx * y  # cross(v_k, v_{k+1}) = cross(v_k, v_k + v_{k+1})
         a2 += c
         zx += sx * c
         zy += sy * c
-        next_xs.append(sx)
-        next_ys.append(sy)
-        x0 = x1
-        y0 = y1
-    x1 = xs[0]
-    y1 = ys[0]
-    c = x0 * y1 - x1 * y0
-    sx = x0 + x1
-    sy = y0 + y1
-    a2 += c
-    zx += sx * c
-    zy += sy * c
-    next_xs.append(sx)
-    next_ys.append(sy)
     return a2, zx, zy, next_xs, next_ys
 
 

@@ -122,10 +122,16 @@ def mode_basis(m: int, j: int) -> FloatPolygon:
 
 
 def midpoint_map(p: FloatPolygon) -> FloatPolygon:
-    """Float counterpart of the exact midpoint map."""
+    """Float counterpart of the exact midpoint map, each coordinate the correctly rounded midpoint."""
     verts = p.vertices
-    m = len(verts)
-    return FloatPolygon(tuple(0.5 * (verts[k] + verts[(k + 1) % m]) for k in range(m)))
+    return FloatPolygon(tuple(complex(_midpoint(a.real, b.real), _midpoint(a.imag, b.imag))
+                              for a, b in zip(verts, verts[1:] + verts[:1])))
+
+
+def _midpoint(a: float, b: float) -> float:
+    """(a + b) / 2 rounded once: a + b is exact wherever halving it rounds, so only an overflow needs the halves."""
+    half = 0.5 * (a + b)
+    return 0.5 * a + 0.5 * b if math.isinf(half) else half
 
 
 def decompose(p: FloatPolygon) -> ModeVector:

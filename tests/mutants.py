@@ -1,5 +1,5 @@
 """Mutation check of the exact kernel, the fuzz draws, the spectral mode
-sums and the report writer.
+sums, the float midpoint and the report writer.
 
 Each mutant replaces one exact fragment of one source file under
 src/midpoly/ and names the tests that must kill it. For each, the
@@ -76,6 +76,16 @@ MUTANTS = [
     ("fraction pair template loses a quote", CLI, """'[{0}  "%s",""", """'[{0}  %s","""),
     ("joined floats skip the non-finite check", CLI, 'if kind is not float or "n" not in text:', "if True:"),
     ("joined lists accept bool among int", CLI, "len(set(map(type, value))) == 1", "True"),
+    ("general pass cross product with a plus", EXACT_POLY, "c = x * sy - sx * y", "c = x * sy + sx * y"),
+    ("lattice_step rotated the other way", EXACT_POLY, "[*values[1:], *values[:1]]", "[*values[-1:], *values[:-1]]"),
+    ("centroid sign flipped on positive area", EXACT_POLY, "if a2 < 0:", "if a2 > 0:"),
+    ("projection alternating sign swapped", EXACT_POLY, "(alternating if k % 2 == 0 else -alternating)",
+     "(-alternating if k % 2 == 0 else alternating)"),
+    ("same_point ignores y", EXACT_POLY, " and p[1] * q[2] == q[1] * p[2]", ""),
+    ("subnormal quotients kept", VERIFY, "abs(q) >= sys.float_info.min", "abs(q) >= 0"),
+    ("float midpoint without its overflow fallback", SPECTRAL,
+     "return 0.5 * a + 0.5 * b if math.isinf(half) else half", "return half"),
+    ("iterate vertices transposed", CLI, "_homogeneous_json((x, y, w))", "_homogeneous_json((y, x, w))"),
 ]
 
 

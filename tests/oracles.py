@@ -9,11 +9,14 @@ one `cmath.exp` per term where `spectral.decompose` reads one table of
 roots, the line verdict tests each point against a Fraction cross
 product where `verify` fits the line on integer triples, the slope
 distinctness check compares every pair where `verify` compares sorted
-neighbours, and the rotated-copy shoelace pass zips each vertex with a
-rotated copy of the lists where `exact_poly.lattice_moments` carries the
-previous vertex through its loop. `PlanePoint` and `Polygon` serve only
-as containers: every sum, difference and product below is plain
-`Fraction` arithmetic on their coordinates.
+neighbours, and the rotated-copy shoelace pass takes each cross product
+x_k y_{k+1} - x_{k+1} y_k from both endpoints where
+`exact_poly.lattice_moments` reads it off the next iterate, as
+cross(v_k, v_k + v_{k+1}). `PlanePoint` and `Polygon` serve only as
+containers: every sum, difference and product below is plain `Fraction`
+arithmetic on their coordinates. `Poly`, a polynomial ring, is no
+oracle but an input: the kernel run on it proves identities for all
+polygons.
 """
 
 import cmath
@@ -272,3 +275,64 @@ def rotated_copy_moments(xs: list[int], ys: list[int]) -> tuple[int, int, int, l
         next_xs.append(sx)
         next_ys.append(sy)
     return a2, zx, zy, next_xs, next_ys
+
+
+class Poly:
+    """An element of the integer polynomial ring Z[x0, y0, x1, ...], stdlib only.
+
+    A dict from monomials to nonzero int coefficients; a monomial is the
+    sorted tuple of its variable names, one entry per degree. It has the
+    `+`, `-`, `*` and `sum` that the lattice kernel uses on ints, so the
+    shipped `lattice_projection` and `lattice_moments` run on it
+    unchanged and prove an identity for every polygon at once.
+    """
+
+    __slots__ = ("terms",)
+    __hash__ = None
+
+    def __init__(self, terms: dict[tuple[str, ...], int]):
+        self.terms = {mono: c for mono, c in terms.items() if c}
+
+    @classmethod
+    def variables(cls, prefix: str, m: int) -> list["Poly"]:
+        """[prefix0, prefix1, ..., prefix(m-1)] as degree-one polynomials."""
+        return [cls({(f"{prefix}{k}",): 1}) for k in range(m)]
+
+    @staticmethod
+    def lift(value) -> "Poly":
+        return value if isinstance(value, Poly) else Poly({(): value})
+
+    def __add__(self, other) -> "Poly":
+        terms = dict(self.terms)
+        for mono, c in Poly.lift(other).terms.items():
+            terms[mono] = terms.get(mono, 0) + c
+        return Poly(terms)
+
+    __radd__ = __add__
+
+    def __neg__(self) -> "Poly":
+        return Poly({mono: -c for mono, c in self.terms.items()})
+
+    def __sub__(self, other) -> "Poly":
+        return self + -Poly.lift(other)
+
+    def __mul__(self, other) -> "Poly":
+        factor = Poly.lift(other).terms
+        terms: dict[tuple[str, ...], int] = {}
+        for m1, c1 in self.terms.items():
+            for m2, c2 in factor.items():
+                mono = tuple(sorted(m1 + m2))
+                terms[mono] = terms.get(mono, 0) + c1 * c2
+        return Poly(terms)
+
+    __rmul__ = __mul__
+
+    def __eq__(self, other) -> bool:
+        return self.terms == Poly.lift(other).terms
+
+
+def scalar_ratio(a: Poly, b: Poly) -> F | None:
+    """The rational c with a = c * b identically, or None when no scalar works; b must be nonzero."""
+    mono, coefficient = next(iter(b.terms.items()))
+    c = F(a.terms.get(mono, 0), coefficient)
+    return c if a * c.denominator == b * c.numerator else None

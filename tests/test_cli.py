@@ -27,13 +27,13 @@ from midpoly.cli import (
     ITERATE_MAX_STEPS,
     FigureSpec,
     _dumps,
-    _FractionPair,
+    _homogeneous_json,
+    _TextPair,
     cmd_figure,
     cmd_fuzz,
     cmd_iterate,
     cmd_proposition,
     cmd_verify,
-    fraction_text,
     main,
     parse_polygon_document,
     render_figure,
@@ -180,14 +180,16 @@ class TestDocumentParsing:
 
 class TestFractionText:
     @settings(max_examples=300, deadline=None)
-    @given(st.integers(-(2**500), 2**500), st.integers(-(2**500), 2**500).filter(bool))
-    @example(0, -7)
-    @example(0, 1)
-    @example(-6, -4)
-    @example(2**500, -(2**499))
-    @example(3**300, 2**500 - 1)
-    def test_matches_str_fraction(self, x, w):
-        assert fraction_text(x, w) == str(Fraction(x, w))
+    @given(st.integers(-(2**500), 2**500), st.integers(-(2**500), 2**500), st.integers(1, 2**500))
+    @example(0, 0, 7)
+    @example(0, 5, 1)
+    @example(-6, 6, 4)
+    @example(2**500, -(2**500), 2**499)
+    @example(3**300, 2**300, 2**500 - 1)
+    def test_matches_str_fraction(self, x, y, w):
+        pair = _homogeneous_json((x, y, w))
+        assert type(pair) is _TextPair
+        assert pair == (str(Fraction(x, w)), str(Fraction(y, w)))
 
 
 class TestModeConversion:
@@ -367,7 +369,9 @@ json_values = st.recursive(
 )
 
 
-fraction_strings = st.builds(fraction_text, st.integers(-(2**200), 2**200), st.integers(1, 2**200))
+fraction_strings = st.builds(lambda x, w: str(Fraction(x, w)), st.integers(-(2**200), 2**200), st.integers(1, 2**200))
+# the two kinds of _TextPair member: exact fractions and float-mode decimals
+pair_strings = st.one_of(fraction_strings, st.floats().map("{:.17g}".format))
 
 
 class _Level(enum.IntEnum):
@@ -399,11 +403,12 @@ class TestReportWriter:
         assert _dumps(value) == json.dumps(value, indent=2, sort_keys=True) + "\n"
 
     @settings(max_examples=200, deadline=None)
-    @given(st.lists(st.one_of(st.none(), st.tuples(fraction_strings, fraction_strings)), max_size=12))
+    @given(st.lists(st.one_of(st.none(), st.tuples(pair_strings, pair_strings)), max_size=12))
     @example([("0", "-5/3")] * 5)
+    @example([("-0", "1.5500000000000001e+308")] * 5)
     @example([("1", "2")] * 5 + [None])
     def test_fraction_pairs_match_plain_lists(self, items):
-        pairs = [None if p is None else _FractionPair(p) for p in items]
+        pairs = [None if p is None else _TextPair(p) for p in items]
         plain = [None if p is None else list(p) for p in items]
         for value, reference in (
             (pairs, plain),
@@ -789,6 +794,21 @@ class TestMainEntry:
         assert code == EXIT_USAGE
         assert capsys.readouterr().err == "midpoly: error: coordinate out of float range\n"
         assert elapsed < 1.0
+
+    def test_float_midpoints_near_float_max_stay_finite(self, tmp_path, capsys):
+        # 1.5e308 + 1.6e308 overflows; the midpoint (1.55e308, 0.5) does not
+        coords = [("1.5e308", "0"), ("1.6e308", "1"), ("0", "1")]
+        path = self.write(tmp_path, "big.json", {"vertices": [list(c) for c in coords]})
+        assert main(["iterate", path, "--mode", "float"]) == EXIT_OK
+        out = capsys.readouterr().out
+        assert "inf" not in out and "nan" not in out
+        polygons = json.loads(out)["polygons"]
+        assert polygons[1][0] == ["1.5500000000000001e+308", "0.5"]
+        q = [(float(x), float(y)) for x, y in coords]
+        for printed in polygons[1:]:
+            q = [(float((Fraction(a[0]) + Fraction(b[0])) / 2), float((Fraction(a[1]) + Fraction(b[1])) / 2))
+                 for a, b in zip(q, q[1:] + q[:1])]
+            assert printed == [[f"{x:.17g}", f"{y:.17g}"] for x, y in q]
 
     @pytest.mark.parametrize("token, printed", [("-0.0", "0"), ("-1e-400", "-0")])
     def test_float_sign_of_zero(self, token, printed, tmp_path, capsys):

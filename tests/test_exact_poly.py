@@ -20,9 +20,17 @@ from midpoly import (
     z_moment,
 )
 
-from midpoly.exact_poly import from_homogeneous, lattice_mean, lattice_moments, lattice_step, to_lattice
+from midpoly.exact_poly import (
+    from_homogeneous,
+    lattice_mean,
+    lattice_moments,
+    lattice_projection,
+    lattice_step,
+    to_lattice,
+)
 
 from oracles import (
+    Poly,
     fan_centroid,
     linear_combination,
     fraction_centroid,
@@ -34,6 +42,7 @@ from oracles import (
     fraction_z_moment,
     reversed_polygon,
     rotated_copy_moments,
+    scalar_ratio,
     scaled,
     translated,
 )
@@ -298,3 +307,45 @@ class TestLatticeSteps:
         expected = rotated_copy_moments(xs, ys)
         assert lattice_moments(xs, ys) == expected
         assert lattice_moments(tuple(xs), tuple(ys)) == expected
+
+
+class TestSymbolicMoments:
+    """Identities over all polygons: the shipped kernel run on Z[x0, y0, x1, ...].
+
+    R + shift R is `lattice_step(R)`, twice the midpoint polygon, and Z is
+    cubic, so Z(M R) = (c / 8) Z(R) reads Z(R + shift R) = c Z(R).
+    """
+
+    @staticmethod
+    def scaling(rx: list, ry: list) -> list:
+        """[(Z(R + shift R), Z(R))] for the x and the y coordinate of the moment."""
+        _, zx, zy, nx, ny = lattice_moments(rx, ry)
+        _, zx1, zy1, _, _ = lattice_moments(nx, ny)
+        return [(zx1, zx), (zy1, zy)]
+
+    @pytest.mark.parametrize("m", range(1, 9))
+    def test_pass_equals_rotated_copies(self, m):
+        # one proof per vertex count of the general pass (and of the m = 6 one)
+        xs, ys = Poly.variables("x", m), Poly.variables("y", m)
+        assert lattice_moments(xs, ys) == rotated_copy_moments(xs, ys)
+
+    def test_hexagon_lemma(self):
+        # modes 0 and 3 projected out: Z(R + shift R) = 3 Z(R), i.e. Z(M v) = (3/8) Z(v)
+        xs, ys = Poly.variables("x", 6), Poly.variables("y", 6)
+        for z1, z in self.scaling(lattice_projection(xs), lattice_projection(ys)):
+            assert len(z.terms) == 60
+            assert scalar_ratio(z1, z) == 3
+
+    def test_triangle_scales_by_two(self):
+        xs, ys = Poly.variables("x", 3), Poly.variables("y", 3)
+        for z1, z in self.scaling(xs, ys):
+            assert scalar_ratio(z1, z) == 2
+
+    @pytest.mark.parametrize("m", [5, 7])
+    def test_no_scalar_next_to_the_hexagon(self, m):
+        # mode 0 projected out as m v - sum v; the moment is not zero, yet no c fits
+        xs, ys = Poly.variables("x", m), Poly.variables("y", m)
+        rx, ry = [m * v - sum(xs) for v in xs], [m * v - sum(ys) for v in ys]
+        for z1, z in self.scaling(rx, ry):
+            assert z != 0
+            assert scalar_ratio(z1, z) is None

@@ -3,6 +3,7 @@
 import cmath
 import math
 import random
+import sys
 import time
 from fractions import Fraction as F
 
@@ -12,6 +13,7 @@ from hypothesis import strategies as st
 
 from midpoly import (
     DegenerateDenominatorError,
+    FloatPolygon,
     ModeVector,
     Polygon,
     WrongSizeError,
@@ -124,6 +126,34 @@ class TestModeBasis:
                 mapped = spectral.midpoint_map(e)
                 dev = max(abs(a - lam * b) for a, b in zip(mapped, e))
                 assert dev <= 1e-12, (m, j, dev)
+
+
+MAX = sys.float_info.max
+
+
+class TestFloatMidpointMap:
+    """Each coordinate of a float midpoint is (a + b) / 2 rounded once."""
+
+    @settings(max_examples=500, deadline=None)
+    @given(st.lists(st.tuples(st.floats(allow_nan=False, allow_infinity=False),
+                              st.floats(allow_nan=False, allow_infinity=False)), min_size=1, max_size=4))
+    # the sum 3.1e308 overflows; a complex halving also turns the imaginary 0.5 into nan
+    @example([(1.5e308, 0.0), (1.6e308, 1.0), (0.0, 1.0)])
+    @example([(-MAX, MAX), (-MAX, MAX), (MAX, -MAX)])
+    @example([(5e-324, -5e-324), (0.0, 0.0), (-0.0, sys.float_info.min)])
+    def test_matches_rational_midpoint(self, coords):
+        p = FloatPolygon(tuple(complex(x, y) for x, y in coords))
+        for k, z in enumerate(spectral.midpoint_map(p)):
+            a, b = p[k], p[(k + 1) % len(p)]
+            assert z.real == float((F(a.real) + F(b.real)) / 2)
+            assert z.imag == float((F(a.imag) + F(b.imag)) / 2)
+
+    def test_signed_zero_follows_the_float_sum(self):
+        # -0.0 + -0.0 is -0.0 whatever the other coordinate; a complex halving gave +0.0 here
+        for v in (complex(-0.0, -1.0), complex(2.0, -0.0)):
+            (z,) = spectral.midpoint_map(FloatPolygon((v,)))
+            assert (math.copysign(1.0, z.real), math.copysign(1.0, z.imag)) == \
+                (math.copysign(1.0, v.real), math.copysign(1.0, v.imag))
 
 
 class TestTransform:
