@@ -16,12 +16,10 @@ Exit status contract, stable across releases:
 from __future__ import annotations
 
 import argparse
-import dataclasses
 import json
 import math
 import re
 import sys
-from dataclasses import dataclass
 from fractions import Fraction
 from itertools import repeat
 from json.encoder import encode_basestring_ascii as _json_str
@@ -44,6 +42,7 @@ from .exact_poly import (
     same_point,
     to_lattice,
 )
+from .record import Record
 from .verify import (
     RATIO_REL_TOL,
     FuzzConfig,
@@ -241,8 +240,8 @@ def _write_json(value, newline: str, out: list[str]) -> None:
 
 
 def _fields(obj) -> dict:
-    """A dataclass instance's fields by name, values as they are, not copied."""
-    return {f.name: getattr(obj, f.name) for f in dataclasses.fields(obj)}
+    """A record's fields by name, values as they are, not copied."""
+    return {name: getattr(obj, name) for name in obj._fields}
 
 
 def _reduced_text(x: int, w_odd: int, tw: int) -> str:
@@ -362,8 +361,7 @@ def cmd_proposition(m: int, steps: int, tolerance: float) -> tuple[int, str]:
 # ------------------------------ figures ------------------------------
 
 
-@dataclass(frozen=True)
-class FigureSpec:
+class FigureSpec(Record):
     """Declarative description of the iterated-hexagon drawing."""
 
     steps: int = 13
@@ -506,15 +504,15 @@ def cmd_figure(pairs: list[tuple[str, str]], spec: FigureSpec) -> tuple[int, str
 
 
 def _config(cls, args: argparse.Namespace):
-    """The dataclass cls built from the parsed options named after its fields."""
-    return cls(**{f.name: getattr(args, f.name) for f in dataclasses.fields(cls)})
+    """The record cls built from the parsed options named after its fields."""
+    return cls(**{name: getattr(args, name) for name in cls._fields})
 
 
 def _build_parser() -> argparse.ArgumentParser:
     """One subparser per command, each registering its runner as `run`.
 
     Options named after a FuzzConfig or FigureSpec field take their
-    defaults from that dataclass.
+    defaults from that record.
     """
     parser = argparse.ArgumentParser(
         prog="midpoly",

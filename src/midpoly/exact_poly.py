@@ -24,11 +24,11 @@ may copy them freely and parallelize over independent polygons.
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass
 from fractions import Fraction
 from typing import Iterable, Iterator, Sequence
 
 from .errors import AreaZeroError, WrongSizeError
+from .record import Record
 
 # A point (x / w, y / w) of the plane as integers with w != 0.
 Homogeneous = tuple[int, int, int]
@@ -39,8 +39,7 @@ def same_point(p: Homogeneous, q: Homogeneous) -> bool:
     return p[0] * q[2] == q[0] * p[2] and p[1] * q[2] == q[1] * p[2]
 
 
-@dataclass(frozen=True)
-class PlanePoint:
+class PlanePoint(Record):
     """A point x + iy of the plane with exact rational coordinates."""
 
     x: Fraction
@@ -58,8 +57,7 @@ def point(x, y) -> PlanePoint:
     return PlanePoint(Fraction(x), Fraction(y))
 
 
-@dataclass(frozen=True)
-class Polygon:
+class Polygon(Record):
     """An ordered vertex list; indices are understood modulo the length.
 
     Any vertex configuration is legal: no simplicity, convexity, or

@@ -28,18 +28,17 @@ from __future__ import annotations
 
 import cmath
 import math
-from dataclasses import dataclass, field
 from itertools import compress
 from typing import Iterable, Iterator
 
 from .errors import DegenerateDenominatorError, PolygonDocumentError, WrongSizeError
 from .exact_poly import Homogeneous, Polygon, to_homogeneous
+from .record import Record
 
 _SQRT3 = math.sqrt(3.0)
 
 
-@dataclass(frozen=True)
-class FloatPolygon:
+class FloatPolygon(Record):
     """Float mirror of a polygon: vertices as complex numbers."""
 
     vertices: tuple[complex, ...]
@@ -58,17 +57,15 @@ class FloatPolygon:
         return self.vertices[k]
 
 
-@dataclass(frozen=True)
-class ModeVector:
+class ModeVector(Record):
     """Mode coefficients xi_0 .. xi_{m-1} of an m-gon.
 
     support holds the ascending indices of the nonzero coefficients. It is
-    derived from the coefficients and takes no part in equality, hashing
-    or repr.
+    derived from the coefficients and is not a field, so it takes no part
+    in equality, hashing or repr.
     """
 
     coefficients: tuple[complex, ...]
-    support: tuple[int, ...] = field(init=False, repr=False, compare=False)
 
     def __post_init__(self):
         if len(self.coefficients) < 1:

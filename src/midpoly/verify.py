@@ -23,7 +23,6 @@ from __future__ import annotations
 import math
 import random
 import sys
-from dataclasses import dataclass
 from typing import Sequence
 
 from .errors import (
@@ -44,6 +43,7 @@ from .exact_poly import (
     same_point,
     to_lattice,
 )
+from .record import Record
 from .spectral import ModeVector, orbit_moments
 
 RATIO_REL_TOL = 1e-9
@@ -116,8 +116,7 @@ def centroid_sequence(p: Polygon, n: int) -> list[PlanePoint | None]:
     return [None if g is None else from_homogeneous(g) for g in lattice_centroids(*to_lattice(p), n)]
 
 
-@dataclass(frozen=True)
-class ColinearityReport:
+class ColinearityReport(Record):
     """Exact verdict on the centroid line of an iterated hexagon.
 
     The points are homogeneous integer triples (x, y, w) with w > 0, as
@@ -264,8 +263,7 @@ def counterexample_modes(m: int) -> ModeVector:
     return ModeVector(tuple(coeffs))
 
 
-@dataclass(frozen=True)
-class CounterexampleReport:
+class CounterexampleReport(Record):
     """Slope record showing the centroids of the witness m-gon share no line.
 
     slopes[n] is Im Z / Re Z of the n-th iterate's moment, the slope of
@@ -356,8 +354,7 @@ def verify_proposition(m: int, n: int, rel_tol: float = RATIO_REL_TOL) -> Counte
     )
 
 
-@dataclass(frozen=True)
-class FuzzConfig:
+class FuzzConfig(Record):
     """Deterministic campaign parameters.
 
     Vertices are drawn with independent integer coordinates uniform on
@@ -390,15 +387,13 @@ class FuzzConfig:
             raise ValueError(f"at most {FUZZ_MAX_STEPS} iterations, got {self.steps}")
 
 
-@dataclass(frozen=True)
-class FuzzFailure:
+class FuzzFailure(Record):
     trial: int
     vertices: tuple[tuple[int, int], ...]
     reason: str
 
 
-@dataclass(frozen=True)
-class FuzzSummary:
+class FuzzSummary(Record):
     seed: int
     trials: int
     coordinate_bound: int
@@ -515,8 +510,7 @@ def fuzz_hexagons(cfg: FuzzConfig) -> FuzzSummary:
     )
 
 
-@dataclass(frozen=True)
-class ConvergenceDiagnostics:
+class ConvergenceDiagnostics(Record):
     """Signed positions of the centroids along the line, and distance ratios.
 
     projections[i] is the parameter of centroid G_{indices[i]} along the

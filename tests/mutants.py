@@ -1,14 +1,15 @@
 """Mutation check of the exact kernel, the fuzz draws, the spectral mode
-sums, the float midpoint and the report writer.
+sums, the float midpoint, the value records and the report writer.
 
 Each mutant replaces one exact fragment of one source file under
 src/midpoly/ and names the tests that must kill it. For each, the
 script copies src/, tests/ and pyproject.toml to a temporary directory,
 applies the mutant there and runs, for a mutant of spectral.py,
-exact_poly.py or verify.py,
+exact_poly.py, verify.py or record.py,
 
     python -m pytest -x -q tests/test_spectral.py tests/test_exact_poly.py \
-        tests/test_verify.py tests/test_acceptance.py tests/test_golden.py
+        tests/test_verify.py tests/test_acceptance.py tests/test_golden.py \
+        tests/test_record.py
 
 and for a mutant of cli.py
 
@@ -40,12 +41,14 @@ SPECTRAL = Path("src/midpoly/spectral.py")
 EXACT_POLY = Path("src/midpoly/exact_poly.py")
 VERIFY = Path("src/midpoly/verify.py")
 CLI = Path("src/midpoly/cli.py")
+RECORD = Path("src/midpoly/record.py")
 KERNEL_TESTS = (
     "tests/test_spectral.py",
     "tests/test_exact_poly.py",
     "tests/test_verify.py",
     "tests/test_acceptance.py",
     "tests/test_golden.py",
+    "tests/test_record.py",
 )
 CLI_TESTS = ("tests/test_cli.py",)
 
@@ -86,6 +89,15 @@ MUTANTS = [
     ("float midpoint without its overflow fallback", SPECTRAL,
      "return 0.5 * a + 0.5 * b if math.isinf(half) else half", "return half"),
     ("iterate vertices transposed", CLI, "_homogeneous_json((x, y, w))", "_homogeneous_json((y, x, w))"),
+    ("record equality across types", RECORD, "if other.__class__ is not self.__class__:",
+     "if not isinstance(other, Record):"),
+    ("record hash without its last field", RECORD, "return hash(self._values())", "return hash(self._values()[:-1])"),
+    ("record __post_init__ not called", RECORD, "        self.__post_init__()\n", ""),
+    ("record defaults ignored", RECORD, "if key not in self._defaults:", "if True:"),
+    ("record assignment allowed", RECORD, 'raise AttributeError(f"cannot assign to field {name!r}")',
+     "object.__setattr__(self, name, value)"),
+    ("record unknown keyword dropped", RECORD, "if key not in self._field_set:", "if False:"),
+    ("record surplus positional dropped", RECORD, "if len(args) > len(self._fields):", "if False:"),
 ]
 
 

@@ -1,6 +1,5 @@
 """Document parsing, report serialization, exit codes, and SVG output."""
 
-import dataclasses
 import enum
 import hashlib
 import json
@@ -267,15 +266,21 @@ class TestIterateCommand:
         assert data["polygons"][0][0] == ["0.5", "0.25"]
 
     def test_float_mode_two_steps(self):
-        pairs = [("0", "0"), ("1", "0"), ("1/3", "0.7")]
-        code, text = cmd_iterate(pairs, 2, "float")
-        assert code == EXIT_OK
-        chain = [[complex(0.0, 0.0), complex(1.0, 0.0), complex(1 / 3, 0.7)]]
-        for _ in range(2):
-            q = chain[-1]
-            chain.append([0.5 * (q[k] + q[(k + 1) % 3]) for k in range(3)])
-        want = [[[f"{z.real:.17g}", f"{z.imag:.17g}"] for z in q] for q in chain]
-        assert json.loads(text)["polygons"] == want
+        documents = [
+            [("0", "0"), ("1", "0"), ("1/3", "0.7")],
+            # -1e-400 reads as -0.0: the first midpoint is (1.5, -0.0), where
+            # the complex product 0.5 * (q[k] + q[k+1]) gives (1.5, 0.0)
+            [("1", "-1e-400"), ("2", "-1e-400"), ("0", "1")],
+        ]
+        for pairs in documents:
+            code, text = cmd_iterate(pairs, 2, "float")
+            assert code == EXIT_OK
+            chain = [[(float(Fraction(x)), float(Fraction(y))) for x, y in pairs]]
+            for _ in range(2):
+                q = chain[-1]
+                chain.append([(0.5 * (a[0] + b[0]), 0.5 * (a[1] + b[1])) for a, b in zip(q, q[1:] + q[:1])])
+            want = [[[f"{x:.17g}", f"{y:.17g}"] for x, y in q] for q in chain]
+            assert json.loads(text)["polygons"] == want
 
     def test_exact_mode_rejects_decimal_document(self):
         with pytest.raises(ExactModeError):
@@ -341,8 +346,8 @@ class TestFuzzCommand:
         monkeypatch.setattr(midpoly.verify, "_z_scaling_holds", lambda xs, ys: False)
         cfg = FuzzConfig(seed=42, trials=5, coordinate_bound=9, steps=8)
         code, text = cmd_fuzz(cfg)
-        reference = {"schema": "fuzz/1", **dataclasses.asdict(fuzz_hexagons(cfg))}
-        assert reference["first_failure"] is not None
+        summary = fuzz_hexagons(cfg)
+        reference = {"schema": "fuzz/1", **vars(summary), "first_failure": vars(summary.first_failure)}
         assert text == json.dumps(reference, indent=2, sort_keys=True) + "\n"
 
 

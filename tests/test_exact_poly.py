@@ -341,11 +341,21 @@ class TestSymbolicMoments:
         for z1, z in self.scaling(xs, ys):
             assert scalar_ratio(z1, z) == 2
 
-    @pytest.mark.parametrize("m", [5, 7])
-    def test_no_scalar_next_to_the_hexagon(self, m):
-        # mode 0 projected out as m v - sum v; the moment is not zero, yet no c fits
+    @staticmethod
+    def centred(m: int) -> tuple[list, list]:
+        """The general m-gon with mode 0 projected out, as m v - sum v."""
         xs, ys = Poly.variables("x", m), Poly.variables("y", m)
-        rx, ry = [m * v - sum(xs) for v in xs], [m * v - sum(ys) for v in ys]
-        for z1, z in self.scaling(rx, ry):
+        return [m * v - sum(xs) for v in xs], [m * v - sum(ys) for v in ys]
+
+    @pytest.mark.parametrize("m", [5, 7, 8, 9, 10, 11, 12])
+    def test_no_scalar_next_to_the_hexagon(self, m):
+        # the moment is not zero, yet no c fits
+        for z1, z in self.scaling(*self.centred(m)):
             assert z != 0
             assert scalar_ratio(z1, z) is None
+
+    def test_quadrilateral_midpoints_have_zero_moment(self):
+        # the Varignon parallelogram's centroid is the vertex mean, here 0
+        for z1, z in self.scaling(*self.centred(4)):
+            assert z != 0
+            assert z1 == 0
