@@ -6,6 +6,15 @@ Exact values travel as fraction strings ("3", "-5/3") to avoid silent
 precision loss; the float path prints decimals with 17 significant
 digits. Number formatting never depends on the locale.
 
+Each command, its runner, positionals and options are described once, in
+the table _COMMANDS. main reads a command line against that table
+directly and declines any token it does not fully understand (help, "--",
+an abbreviated or "--opt=value" option, a value that is empty, starts
+with "-" or fails its type or choices, a missing required option, a
+wrong number of positionals). Only a declined line imports argparse: the
+parser built once from the same table reads it, so every usage error and
+all help come from argparse, as before.
+
 Exit status contract, stable across releases:
     0  all checks pass
     1  verified violation
@@ -15,15 +24,17 @@ Exit status contract, stable across releases:
 
 from __future__ import annotations
 
-import argparse
+import functools
 import json
 import math
+import os
 import re
 import sys
 from fractions import Fraction
 from itertools import repeat
 from json.encoder import encode_basestring_ascii as _json_str
 from pathlib import Path
+from types import SimpleNamespace
 
 from . import spectral
 from .errors import (
@@ -503,69 +514,178 @@ def cmd_figure(pairs: list[tuple[str, str]], spec: FigureSpec) -> tuple[int, str
 # ------------------------------ dispatch ------------------------------
 
 
-def _config(cls, args: argparse.Namespace):
+def _config(cls, args):
     """The record cls built from the parsed options named after its fields."""
     return cls(**{name: getattr(args, name) for name in cls._fields})
 
 
-def _build_parser() -> argparse.ArgumentParser:
-    """One subparser per command, each registering its runner as `run`.
+class _Option(Record):
+    """One option of a command.
 
-    Options named after a FuzzConfig or FigureSpec field take their
-    defaults from that record.
+    type converts the value's text, and None marks a flag, which takes no
+    value and stores False. metavar names the value in usage lines when
+    dest does not.
     """
+
+    flag: str
+    dest: str
+    type: object = str
+    default: object = None
+    choices: tuple | None = None
+    required: bool = False
+    metavar: str | None = None
+
+
+class _Command:
+    """One command: its runner, its help line, its positionals as
+    (dest, type, help) triples and its options, in the order argparse adds them."""
+
+    def __init__(self, run, help: str, positionals: tuple, options: tuple):
+        self.run = run
+        self.help = help
+        self.positionals = positionals
+        self.options = {option.flag: option for option in options}
+        self.defaults = {option.dest: option.default for option in options}
+        self.required = [option.flag for option in options if option.required]
+
+
+_OUTPUT = _Option("--output", "output")
+
+# Every command line is read against this table, by _parse_fast or by the
+# argparse parser _build_parser makes of it. Options named after a
+# FuzzConfig or FigureSpec field take their defaults from that record.
+_COMMANDS = {
+    "iterate": _Command(
+        lambda a: cmd_iterate(_read_document(a.input), a.steps, a.mode),
+        "print every midpoint iterate of a polygon",
+        (("input", str, "polygon document (JSON file)"),),
+        (
+            _Option("--steps", "steps", int, 12),
+            _Option("--mode", "mode", default="exact", choices=("exact", "float")),
+            _OUTPUT,
+        ),
+    ),
+    "verify": _Command(
+        lambda a: cmd_verify(_read_document(a.input), a.steps),
+        "check the hexagon centroid line, exactly",
+        (("input", str, "hexagon document (JSON file)"),),
+        (_Option("--steps", "steps", int, 12), _OUTPUT),
+    ),
+    "fuzz": _Command(
+        lambda a: cmd_fuzz(_config(FuzzConfig, a)),
+        "seeded random campaign over integer hexagons",
+        (),
+        (
+            _Option("--seed", "seed", int, FuzzConfig.seed),
+            _Option("--trials", "trials", int, FuzzConfig.trials),
+            _Option("--bound", "coordinate_bound", int, FuzzConfig.coordinate_bound, metavar="BOUND"),
+            _Option("--steps", "steps", int, FuzzConfig.steps),
+            _OUTPUT,
+        ),
+    ),
+    "proposition": _Command(
+        lambda a: cmd_proposition(a.m, a.steps, a.tolerance),
+        "slope counterexample check for m-gons",
+        (("m", int, "vertex count (5 or at least 7)"),),
+        (
+            _Option("--steps", "steps", int, 10),
+            _Option("--tolerance", "tolerance", float, RATIO_REL_TOL),
+            _OUTPUT,
+        ),
+    ),
+    "figure": _Command(
+        lambda a: cmd_figure(_read_document(a.input), _config(FigureSpec, a)),
+        "render the iterated hexagon as an SVG",
+        (("input", str, "hexagon document (JSON file)"),),
+        (
+            _Option("--steps", "steps", int, FigureSpec.steps),
+            _Option("--output", "output", required=True),
+            _Option("--no-line", "show_line", None, FigureSpec.show_line),
+            _Option("--no-centroids", "show_centroids", None, FigureSpec.show_centroids),
+            _Option("--fade-start", "fade_start", float, FigureSpec.fade_start),
+            _Option("--fade-end", "fade_end", float, FigureSpec.fade_end),
+            _Option("--width", "width", int, FigureSpec.width),
+            _Option("--height", "height", int, FigureSpec.height),
+        ),
+    ),
+}
+
+
+def _parse_fast(argv: list[str]) -> SimpleNamespace | None:
+    """The attributes argparse sets for argv, or None where it might read argv otherwise.
+
+    Reads a command name, then the command's positionals and its exact
+    option strings, a valued option followed by a value that is neither
+    empty nor starts with "-". Values are converted by the same callables
+    argparse calls. Any other token, such as "-h", "--", "--st",
+    "--steps=3" or "-1", a value that fails its conversion or its
+    choices, a missing required option or a wrong number of positionals
+    returns None.
+    """
+    command = _COMMANDS.get(argv[0]) if argv else None
+    if command is None:
+        return None
+    values = dict(command.defaults)
+    given = []
+    tokens = iter(argv[1:])
+    try:
+        for token in tokens:
+            if not token:
+                return None
+            if token[0] != "-":
+                given.append(token)
+                continue
+            option = command.options.get(token)
+            if option is None:
+                return None
+            if option.type is None:
+                values[option.dest] = False
+                continue
+            text = next(tokens, "")
+            if not text or text[0] == "-":
+                return None
+            value = option.type(text)
+            if option.choices is not None and value not in option.choices:
+                return None
+            values[option.dest] = value
+        if len(given) != len(command.positionals):
+            return None
+        for (dest, convert, _), text in zip(command.positionals, given):
+            values[dest] = convert(text)
+    except (TypeError, ValueError):  # what argparse reports as an invalid value
+        return None
+    # every token that starts with "-" was read as an option above
+    if any(flag not in argv for flag in command.required):
+        return None
+    return SimpleNamespace(command=argv[0], run=command.run, **values)
+
+
+@functools.cache
+def _build_parser():
+    """The argparse parser of _COMMANDS, for the command lines _parse_fast declines.
+
+    It prints every usage error and all help. Each command's parser
+    registers the command's runner as `run`.
+    """
+    import argparse
+
     parser = argparse.ArgumentParser(
         prog="midpoly",
         description="Midpoint iteration on polygons: exact centroid-line verification and figures.",
     )
     sub = parser.add_subparsers(dest="command", required=True)
-
-    p_it = sub.add_parser("iterate", help="print every midpoint iterate of a polygon")
-    p_it.add_argument("input", help="polygon document (JSON file)")
-    p_it.add_argument("--steps", type=int, default=12)
-    p_it.add_argument("--mode", choices=("exact", "float"), default="exact")
-    p_it.add_argument("--output", default=None)
-    p_it.set_defaults(run=lambda a: cmd_iterate(_read_document(a.input), a.steps, a.mode))
-
-    p_ve = sub.add_parser("verify", help="check the hexagon centroid line, exactly")
-    p_ve.add_argument("input", help="hexagon document (JSON file)")
-    p_ve.add_argument("--steps", type=int, default=12)
-    p_ve.add_argument("--output", default=None)
-    p_ve.set_defaults(run=lambda a: cmd_verify(_read_document(a.input), a.steps))
-
-    p_fz = sub.add_parser("fuzz", help="seeded random campaign over integer hexagons")
-    p_fz.add_argument("--seed", type=int)
-    p_fz.add_argument("--trials", type=int)
-    p_fz.add_argument("--bound", type=int, dest="coordinate_bound", metavar="BOUND")
-    p_fz.add_argument("--steps", type=int)
-    p_fz.add_argument("--output", default=None)
-    p_fz.set_defaults(run=lambda a: cmd_fuzz(_config(FuzzConfig, a)), **_fields(FuzzConfig()))
-
-    p_pr = sub.add_parser("proposition", help="slope counterexample check for m-gons")
-    p_pr.add_argument("m", type=int, help="vertex count (5 or at least 7)")
-    p_pr.add_argument("--steps", type=int, default=10)
-    p_pr.add_argument("--tolerance", type=float, default=RATIO_REL_TOL)
-    p_pr.add_argument("--output", default=None)
-    p_pr.set_defaults(run=lambda a: cmd_proposition(a.m, a.steps, a.tolerance))
-
-    p_fg = sub.add_parser("figure", help="render the iterated hexagon as an SVG")
-    p_fg.add_argument("input", help="hexagon document (JSON file)")
-    p_fg.add_argument("--steps", type=int)
-    p_fg.add_argument("--output", required=True)
-    p_fg.add_argument("--no-line", action="store_false", dest="show_line")
-    p_fg.add_argument("--no-centroids", action="store_false", dest="show_centroids")
-    p_fg.add_argument("--fade-start", type=float)
-    p_fg.add_argument("--fade-end", type=float)
-    p_fg.add_argument("--width", type=int)
-    p_fg.add_argument("--height", type=int)
-    p_fg.set_defaults(
-        run=lambda a: cmd_figure(_read_document(a.input), _config(FigureSpec, a)),
-        **_fields(FigureSpec()),
-    )
+    for name, command in _COMMANDS.items():
+        p = sub.add_parser(name, help=command.help)
+        for dest, convert, text in command.positionals:
+            p.add_argument(dest, type=convert, help=text)
+        for o in command.options.values():
+            if o.type is None:
+                p.add_argument(o.flag, action="store_false", dest=o.dest, default=o.default)
+            else:
+                p.add_argument(o.flag, type=o.type, dest=o.dest, default=o.default, choices=o.choices,
+                               required=o.required, metavar=o.metavar)
+        p.set_defaults(run=command.run)
     return parser
-
-
-_PARSER = _build_parser()
 
 
 def _read_document(path: str) -> list[tuple[str, str]]:
@@ -577,7 +697,11 @@ def _read_document(path: str) -> list[tuple[str, str]]:
 
 
 def main(argv: list[str] | None = None) -> int:
-    args = _PARSER.parse_args(argv)
+    if argv is None:
+        argv = sys.argv[1:]
+    args = _parse_fast(argv)
+    if args is None:
+        args = _build_parser().parse_args(argv)
     try:
         code, text = args.run(args)
     except ValueError as exc:
@@ -587,15 +711,34 @@ def main(argv: list[str] | None = None) -> int:
         print(f"midpoly: insufficient data: {exc}", file=sys.stderr)
         return EXIT_INSUFFICIENT
 
-    if args.output:
-        try:
+    try:
+        if args.output:
             Path(args.output).write_text(text, encoding="utf-8")
-        except OSError as exc:
-            print(f"midpoly: error: cannot write {args.output}: {exc}", file=sys.stderr)
-            return EXIT_USAGE
-    else:
-        sys.stdout.write(text)
+        else:
+            sys.stdout.write(text)
+            sys.stdout.flush()
+    except OSError as exc:
+        print(f"midpoly: error: cannot write {args.output or 'output'}: {exc}", file=sys.stderr)
+        if not args.output:
+            _discard_stdout()
+        return EXIT_USAGE
     return code
+
+
+def _discard_stdout() -> None:
+    """Point the stdout descriptor at the null device.
+
+    The bytes of a failed write stay in stdout's buffer, and the interpreter
+    flushes it again at exit; without this, that second failure prints an
+    "Exception ignored" traceback and turns exit status 2 into 120.
+    """
+    try:
+        fd = sys.stdout.fileno()
+    except (AttributeError, OSError, ValueError):
+        return
+    null = os.open(os.devnull, os.O_WRONLY)
+    os.dup2(null, fd)
+    os.close(null)
 
 
 if __name__ == "__main__":

@@ -1,5 +1,6 @@
 """Mutation check of the exact kernel, the fuzz draws, the spectral mode
-sums, the float midpoint, the value records and the report writer.
+sums, the float midpoint, the value records, the report writer and the
+command-line reader.
 
 Each mutant replaces one exact fragment of one source file under
 src/midpoly/ and names the tests that must kill it. For each, the
@@ -7,9 +8,9 @@ script copies src/, tests/ and pyproject.toml to a temporary directory,
 applies the mutant there and runs, for a mutant of spectral.py,
 exact_poly.py, verify.py or record.py,
 
-    python -m pytest -x -q tests/test_spectral.py tests/test_exact_poly.py \
-        tests/test_verify.py tests/test_acceptance.py tests/test_golden.py \
-        tests/test_record.py
+    python -m pytest -x -q tests/test_record.py tests/test_spectral.py \
+        tests/test_exact_poly.py tests/test_verify.py tests/test_acceptance.py \
+        tests/test_golden.py
 
 and for a mutant of cli.py
 
@@ -42,13 +43,14 @@ EXACT_POLY = Path("src/midpoly/exact_poly.py")
 VERIFY = Path("src/midpoly/verify.py")
 CLI = Path("src/midpoly/cli.py")
 RECORD = Path("src/midpoly/record.py")
+# the fast test_record.py first, so that a record.py mutant dies in about a second
 KERNEL_TESTS = (
+    "tests/test_record.py",
     "tests/test_spectral.py",
     "tests/test_exact_poly.py",
     "tests/test_verify.py",
     "tests/test_acceptance.py",
     "tests/test_golden.py",
-    "tests/test_record.py",
 )
 CLI_TESTS = ("tests/test_cli.py",)
 
@@ -89,6 +91,12 @@ MUTANTS = [
     ("float midpoint without its overflow fallback", SPECTRAL,
      "return 0.5 * a + 0.5 * b if math.isinf(half) else half", "return half"),
     ("iterate vertices transposed", CLI, "_homogeneous_json((x, y, w))", "_homogeneous_json((y, x, w))"),
+    ("fast-path flag stores True", CLI, "values[option.dest] = False", "values[option.dest] = True"),
+    ("fast-path required option not checked", CLI, "if any(flag not in argv for flag in command.required):",
+     "if False:"),
+    ("fast-path choices not checked", CLI, "if option.choices is not None and value not in option.choices:",
+     "if False:"),
+    ("fast-path positional count not checked", CLI, "if len(given) != len(command.positionals):", "if False:"),
     ("record equality across types", RECORD, "if other.__class__ is not self.__class__:",
      "if not isinstance(other, Record):"),
     ("record hash without its last field", RECORD, "return hash(self._values())", "return hash(self._values()[:-1])"),

@@ -1,10 +1,12 @@
-"""Document parsing, report serialization, exit codes, and SVG output."""
+"""Document parsing, report serialization, exit codes, command-line reading and SVG output."""
 
 import enum
 import hashlib
 import json
 import math
+import os
 import re
+import subprocess
 import sys
 import tempfile
 import time
@@ -17,6 +19,7 @@ import pytest
 from hypothesis import HealthCheck, example, given, settings
 from hypothesis import strategies as st
 
+from golden.record import MANIFEST
 from midpoly.cli import (
     EXIT_INSUFFICIENT,
     EXIT_OK,
@@ -27,6 +30,8 @@ from midpoly.cli import (
     FigureSpec,
     _dumps,
     _homogeneous_json,
+    _build_parser,
+    _parse_fast,
     _TextPair,
     cmd_figure,
     cmd_fuzz,
@@ -132,6 +137,8 @@ FUZZ_SEED_42_REPORT = """\
   "z_scaling_passes": 1000
 }
 """
+
+SRC = Path(__file__).resolve().parent.parent / "src"
 
 # Nested far past the recursion limit of the JSON decoder.
 DEEP_DOCUMENT = '{"vertices": ' + "[" * 200_000 + "]" * 200_000 + "}"
@@ -968,6 +975,20 @@ class TestMainEntry:
         assert main([hex_path if a == "HEX" else a for a in argv]) == EXIT_OK
         assert capsys.readouterr().err == ""
 
+    @pytest.mark.parametrize("failing", ["write", "flush"])
+    def test_failed_stdout_write_exits_usage(self, failing, monkeypatch):
+        class FullStdout(StringIO):
+            def fail(self, *args):
+                raise OSError(28, "No space left on device")
+
+        stdout = FullStdout()
+        setattr(stdout, failing, stdout.fail)
+        monkeypatch.setattr(sys, "stdout", stdout)
+        err = StringIO()
+        with redirect_stderr(err):
+            assert main(["proposition", "7"]) == EXIT_USAGE
+        assert err.getvalue() == "midpoly: error: cannot write output: [Errno 28] No space left on device\n"
+
     def test_output_flag_writes_file(self, tmp_path, capsys):
         sq = self.write(tmp_path, "sq.json", SQUARE_DOC)
         out = tmp_path / "it.json"
@@ -1070,3 +1091,178 @@ class TestNoInputEscapesMain:
                 except SystemExit as exc:  # argparse: exit 2 on a usage error, 0 for -h
                     code = exc.code
         assert code in (EXIT_OK, EXIT_VIOLATION, EXIT_USAGE, EXIT_INSUFFICIENT)
+
+
+# The option strings of each command, and the two that take no value.
+COMMAND_OPTIONS = {
+    "iterate": ["--steps", "--mode", "--output"],
+    "verify": ["--steps", "--output"],
+    "fuzz": ["--seed", "--trials", "--bound", "--steps", "--output"],
+    "proposition": ["--steps", "--tolerance", "--output"],
+    "figure": ["--steps", "--output", "--no-line", "--no-centroids", "--fade-start", "--fade-end",
+               "--width", "--height"],
+}
+NO_VALUE = {"--no-line", "--no-centroids"}
+EVERY_OPTION = sorted({flag for flags in COMMAND_OPTIONS.values() for flag in flags})
+# forms that argparse reads its own way: help, "--", abbreviations, "=" values,
+# negative numbers, unknown and empty tokens
+ODD_TOKENS = st.sampled_from([
+    "-h", "--help", "--", "-", "", "--st", "--ste", "--no", "--no-l", "--out", "--b", "--fade", "--tol", "-s",
+    "--steps=3", "--mode=float", "--output=o.svg", "--no-line=1", "--bogus", "-1", "-0.5", "-inf", "--seed=-1",
+])
+NUMBERS = st.sampled_from(["0", "1", "3", "7", "12", "64", "0.5", "1e-3", "nan", "inf", " 7", "+3", "1_0", "\u0663"])
+ANY_VALUES = st.sampled_from(["", "x", "exact", "float", "-1", "-x", "--steps", "verify", "1" * 5000])
+
+
+def values_of(flag):
+    plain = {"--mode": st.sampled_from(["exact", "float"]), "--output": st.just("o.svg"),
+             "input": st.just("d.json")}.get(flag, NUMBERS)
+    return st.one_of(plain, plain, plain, plain, ANY_VALUES)
+
+
+@st.composite
+def command_lines(draw):
+    """Command lines of every command, most of them well formed, some with
+    a wrong number of positionals, another command's option, a missing or
+    bad value or a form argparse reads its own way."""
+    command = draw(st.sampled_from([*COMMAND_OPTIONS, *COMMAND_OPTIONS, "bogus", "", "-h"]))
+    own = COMMAND_OPTIONS.get(command, EVERY_OPTION)
+    pieces = [[flag] if flag in NO_VALUE else [flag, draw(values_of(flag))]
+              for flag in draw(st.lists(st.sampled_from(own), max_size=4))]
+    expected = 0 if command == "fuzz" else 1
+    for _ in range(draw(st.sampled_from([expected, expected, expected, 0, 2]))):
+        positional = "m" if command == "proposition" else "input"
+        pieces.insert(draw(st.integers(0, len(pieces))), [draw(values_of(positional))])
+    if command == "figure" and draw(st.integers(0, 3)):
+        pieces.append(["--output", draw(values_of("--output"))])
+    if not draw(st.integers(0, 2)):
+        for token in draw(st.lists(ODD_TOKENS | st.sampled_from(EVERY_OPTION) | ANY_VALUES, min_size=1, max_size=2)):
+            pieces.insert(draw(st.integers(0, len(pieces))), [token])
+    return [command, *(token for piece in pieces for token in piece)]
+
+
+def assert_argparse_agrees(argv):
+    """argparse reads argv without an error, to the attributes and the runner that _parse_fast gives."""
+    fast = _parse_fast(argv)
+    assert fast is not None
+    err = StringIO()
+    with redirect_stderr(err):
+        try:
+            slow = _build_parser().parse_args(argv)
+        except SystemExit:
+            pytest.fail(f"argparse rejects {argv}: {err.getvalue()}")
+    assert vars(fast).keys() == vars(slow).keys()
+    for name, value in vars(fast).items():
+        other = getattr(slow, name)
+        assert type(value) is type(other), name
+        assert value == other or value != value and other != other, name  # nan reads as nan
+    assert fast.run is slow.run
+
+
+# the golden corpus lines that go to argparse, in corpus order: the negative values and its usage errors
+GOLDEN_DECLINED = [
+    ["iterate", "readme_hex.json", "--steps", "-1"], ["fuzz", "--seed", "-1", "--trials", "3"],
+    ["fuzz", "--seed", "-2", "--trials", "3"], ["fuzz", "--seed", "-42", "--trials", "3"], ["proposition", "-1"],
+    ["proposition", "7", "--tolerance", "-1"],
+    [], ["verify"], ["proposition"], ["verify", "readme_hex.json", "--steps", "x"], ["fuzz", "--seed", "x"],
+    ["fuzz", "--bogus"], ["figure", "readme_hex.json"],
+]
+
+
+class TestCommandLineReading:
+    @settings(max_examples=1000, deadline=None)
+    @given(command_lines())
+    @example(["figure", "d.json", "--no-line", "--output", "o.svg"])
+    @example(["figure", "d.json"])
+    @example(["iterate", "d.json", "--mode", "x"])
+    @example(["verify"])
+    def test_argparse_agrees_wherever_the_fast_path_reads(self, argv):
+        if _parse_fast(argv) is not None:
+            assert_argparse_agrees(argv)
+
+    def test_golden_command_lines_declined_or_agreed(self):
+        declined = []
+        for entry in json.loads(MANIFEST.read_text(encoding="utf-8"))["entries"]:
+            if _parse_fast(entry["argv"]) is None:
+                declined.append(entry["argv"])
+            else:
+                assert_argparse_agrees(entry["argv"])
+        assert declined == GOLDEN_DECLINED
+
+    @pytest.mark.parametrize("argv", [
+        ["proposition", "64", "--steps", "10"],
+        ["fuzz", "--seed", "1234567", "--trials", "20", "--bound", "9", "--steps", "12"],
+        ["verify", "deep.json", "--steps", "200"],
+        ["iterate", "d.json", "--mode", "float", "--steps", "3", "--steps", "4"],
+        ["figure", "--no-centroids", "--output", "o.svg", "d.json", "--no-line", "--fade-end", "0.25"],
+    ])
+    def test_fast_path_reads_plain_command_lines(self, argv):
+        assert_argparse_agrees(argv)
+
+    def test_flags_store_false(self):
+        args = _parse_fast(["figure", "d.json", "--no-line", "--output", "o.svg"])
+        assert args.show_line is False and args.show_centroids is True
+
+    @pytest.mark.parametrize("argv", [
+        [], ["bogus"], ["-h"], ["verify", "-h"], ["verify", "d.json", "--help"], ["verify", "--", "d.json"],
+        ["verify", "d.json", "--st", "3"], ["verify", "d.json", "--steps=3"], ["fuzz", "--seed", "-1"],
+        ["fuzz", "--seed"], ["fuzz", "--seed", ""], ["fuzz", "--seed", "x"], ["verify", ""],
+        ["verify", "d.json", "--output", "-o"], ["iterate", "d.json", "--mode", "x"], ["figure", "d.json"],
+        ["verify"], ["verify", "a.json", "b.json"], ["fuzz", "extra"], ["proposition", "x"],
+        ["proposition", "7", "--seed", "1"], ["figure", "d.json", "--output", "o.svg", "--no-line=1"],
+    ])
+    def test_fast_path_declines(self, argv):
+        assert _parse_fast(argv) is None
+
+
+class TestStartup:
+    def run_python(self, code, cwd, **env):
+        return subprocess.run([sys.executable, "-c", code], cwd=cwd, capture_output=True, text=True,
+                              env={**os.environ, "PYTHONPATH": str(SRC), **env}, timeout=120)
+
+    def test_valid_command_lines_import_no_argparse(self, tmp_path):
+        (tmp_path / "hex.json").write_text(json.dumps(HEX_DOC), encoding="utf-8")
+        argvs = [["iterate", "hex.json", "--steps", "2"], ["verify", "hex.json", "--steps", "3"],
+                 ["fuzz", "--trials", "3"], ["proposition", "7"],
+                 ["figure", "hex.json", "--steps", "2", "--output", "hex.svg"]]
+        code = (
+            "import contextlib, io, sys\n"
+            "before = set(sys.modules)\n"
+            "from midpoly.cli import main\n"
+            f"for argv in {argvs!r}:\n"
+            "    with contextlib.redirect_stdout(io.StringIO()):\n"
+            "        assert main(argv) == 0, argv\n"
+            "print(sorted({'argparse', 'gettext', 'locale'} & (set(sys.modules) - before)))\n"
+        )
+        result = self.run_python(code, tmp_path)
+        assert result.returncode == 0, result.stderr
+        assert result.stdout == "[]\n"
+        assert (tmp_path / "hex.svg").exists()
+
+    def test_usage_error_still_from_argparse(self, tmp_path):
+        code = "import sys; from midpoly.cli import main; sys.exit(main(['fuzz', '--seed', 'x']))"
+        result = self.run_python(code, tmp_path, COLUMNS="200")
+        assert result.returncode == EXIT_USAGE
+        assert result.stdout == ""
+        assert result.stderr == (
+            "usage: midpoly fuzz [-h] [--seed SEED] [--trials TRIALS] [--bound BOUND] [--steps STEPS] "
+            "[--output OUTPUT]\n"
+            "midpoly fuzz: error: argument --seed: invalid int value: 'x'\n"
+        )
+
+    @pytest.mark.skipif(not Path("/dev/full").exists(), reason="needs a device that refuses every write")
+    @pytest.mark.parametrize("unbuffered", [False, True], ids=["buffered", "unbuffered"])
+    @pytest.mark.parametrize("argv", [["proposition", "7"], ["proposition", "4096", "--steps", "2000"]],
+                             ids=["short", "long"])
+    def test_full_stdout_device_exits_usage(self, tmp_path, argv, unbuffered):
+        # buffered, the failed bytes stay behind for the interpreter's flush at exit
+        env = {k: v for k, v in os.environ.items() if k != "PYTHONUNBUFFERED"}
+        env["PYTHONPATH"] = str(SRC)
+        if unbuffered:
+            env["PYTHONUNBUFFERED"] = "1"
+        code = f"import sys; from midpoly.cli import main; sys.exit(main({argv!r}))"
+        with open("/dev/full", "w", encoding="utf-8") as full:
+            result = subprocess.run([sys.executable, "-c", code], cwd=tmp_path, stdout=full, stderr=subprocess.PIPE,
+                                    text=True, env=env, timeout=120)
+        assert result.returncode == EXIT_USAGE
+        assert result.stderr == "midpoly: error: cannot write output: [Errno 28] No space left on device\n"
