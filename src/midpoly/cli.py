@@ -7,7 +7,8 @@ precision loss; the float path prints decimals with 17 significant
 digits. Number formatting never depends on the locale.
 
 Each command, its runner, positionals and options are described once, in
-the table _COMMANDS. main reads a command line against that table
+the table _COMMANDS, each argument by the keywords that argparse's
+add_argument takes. main reads a command line against that table
 directly and declines any token it does not fully understand (help, "--",
 an abbreviated or "--opt=value" option, a value that is empty, starts
 with "-" or fails its type or choices, a missing required option, a
@@ -33,7 +34,6 @@ import sys
 from fractions import Fraction
 from itertools import repeat
 from json.encoder import encode_basestring_ascii as _json_str
-from pathlib import Path
 from types import SimpleNamespace
 
 from . import spectral
@@ -519,95 +519,74 @@ def _config(cls, args):
     return cls(**{name: getattr(args, name) for name in cls._fields})
 
 
-class _Option(Record):
-    """One option of a command.
-
-    type converts the value's text, and None marks a flag, which takes no
-    value and stores False. metavar names the value in usage lines when
-    dest does not.
-    """
-
-    flag: str
-    dest: str
-    type: object = str
-    default: object = None
-    choices: tuple | None = None
-    required: bool = False
-    metavar: str | None = None
-
-
-class _Command:
-    """One command: its runner, its help line, its positionals as
-    (dest, type, help) triples and its options, in the order argparse adds them."""
-
-    def __init__(self, run, help: str, positionals: tuple, options: tuple):
-        self.run = run
-        self.help = help
-        self.positionals = positionals
-        self.options = {option.flag: option for option in options}
-        self.defaults = {option.dest: option.default for option in options}
-        self.required = [option.flag for option in options if option.required]
-
-
-_OUTPUT = _Option("--output", "output")
-
 # Every command line is read against this table, by _parse_fast or by the
-# argparse parser _build_parser makes of it. Options named after a
-# FuzzConfig or FigureSpec field take their defaults from that record.
+# argparse parser _build_parser makes of it: each command's runner, help
+# line, and positionals and options mapped to their add_argument keywords.
+# Options named after a FuzzConfig or FigureSpec field take their defaults from that record.
 _COMMANDS = {
-    "iterate": _Command(
+    "iterate": (
         lambda a: cmd_iterate(_read_document(a.input), a.steps, a.mode),
         "print every midpoint iterate of a polygon",
-        (("input", str, "polygon document (JSON file)"),),
-        (
-            _Option("--steps", "steps", int, 12),
-            _Option("--mode", "mode", default="exact", choices=("exact", "float")),
-            _OUTPUT,
-        ),
+        {"input": {"help": "polygon document (JSON file)"}},
+        {
+            "--steps": {"dest": "steps", "type": int, "default": 12},
+            "--mode": {"dest": "mode", "default": "exact", "choices": ("exact", "float")},
+            "--output": {"dest": "output"},
+        },
     ),
-    "verify": _Command(
+    "verify": (
         lambda a: cmd_verify(_read_document(a.input), a.steps),
         "check the hexagon centroid line, exactly",
-        (("input", str, "hexagon document (JSON file)"),),
-        (_Option("--steps", "steps", int, 12), _OUTPUT),
+        {"input": {"help": "hexagon document (JSON file)"}},
+        {"--steps": {"dest": "steps", "type": int, "default": 12}, "--output": {"dest": "output"}},
     ),
-    "fuzz": _Command(
+    "fuzz": (
         lambda a: cmd_fuzz(_config(FuzzConfig, a)),
         "seeded random campaign over integer hexagons",
-        (),
-        (
-            _Option("--seed", "seed", int, FuzzConfig.seed),
-            _Option("--trials", "trials", int, FuzzConfig.trials),
-            _Option("--bound", "coordinate_bound", int, FuzzConfig.coordinate_bound, metavar="BOUND"),
-            _Option("--steps", "steps", int, FuzzConfig.steps),
-            _OUTPUT,
-        ),
+        {},
+        {
+            "--seed": {"dest": "seed", "type": int, "default": FuzzConfig.seed},
+            "--trials": {"dest": "trials", "type": int, "default": FuzzConfig.trials},
+            "--bound": {"dest": "coordinate_bound", "type": int, "default": FuzzConfig.coordinate_bound,
+                        "metavar": "BOUND"},
+            "--steps": {"dest": "steps", "type": int, "default": FuzzConfig.steps},
+            "--output": {"dest": "output"},
+        },
     ),
-    "proposition": _Command(
+    "proposition": (
         lambda a: cmd_proposition(a.m, a.steps, a.tolerance),
         "slope counterexample check for m-gons",
-        (("m", int, "vertex count (5 or at least 7)"),),
-        (
-            _Option("--steps", "steps", int, 10),
-            _Option("--tolerance", "tolerance", float, RATIO_REL_TOL),
-            _OUTPUT,
-        ),
+        {"m": {"type": int, "help": "vertex count (5 or at least 7)"}},
+        {
+            "--steps": {"dest": "steps", "type": int, "default": 10},
+            "--tolerance": {"dest": "tolerance", "type": float, "default": RATIO_REL_TOL},
+            "--output": {"dest": "output"},
+        },
     ),
-    "figure": _Command(
+    "figure": (
         lambda a: cmd_figure(_read_document(a.input), _config(FigureSpec, a)),
         "render the iterated hexagon as an SVG",
-        (("input", str, "hexagon document (JSON file)"),),
-        (
-            _Option("--steps", "steps", int, FigureSpec.steps),
-            _Option("--output", "output", required=True),
-            _Option("--no-line", "show_line", None, FigureSpec.show_line),
-            _Option("--no-centroids", "show_centroids", None, FigureSpec.show_centroids),
-            _Option("--fade-start", "fade_start", float, FigureSpec.fade_start),
-            _Option("--fade-end", "fade_end", float, FigureSpec.fade_end),
-            _Option("--width", "width", int, FigureSpec.width),
-            _Option("--height", "height", int, FigureSpec.height),
-        ),
+        {"input": {"help": "hexagon document (JSON file)"}},
+        {
+            "--steps": {"dest": "steps", "type": int, "default": FigureSpec.steps},
+            "--output": {"dest": "output", "required": True},
+            "--no-line": {"dest": "show_line", "action": "store_false", "default": FigureSpec.show_line},
+            "--no-centroids": {"dest": "show_centroids", "action": "store_false",
+                               "default": FigureSpec.show_centroids},
+            "--fade-start": {"dest": "fade_start", "type": float, "default": FigureSpec.fade_start},
+            "--fade-end": {"dest": "fade_end", "type": float, "default": FigureSpec.fade_end},
+            "--width": {"dest": "width", "type": int, "default": FigureSpec.width},
+            "--height": {"dest": "height", "type": int, "default": FigureSpec.height},
+        },
     ),
+}
+
+# Each command's option values before its command line is read, and its
+# required option strings: built once, since _parse_fast reads them on every run.
+_PRESETS = {
+    name: ({keywords["dest"]: keywords.get("default") for keywords in options.values()},
+           [flag for flag, keywords in options.items() if keywords.get("required")])
+    for name, (_, _, _, options) in _COMMANDS.items()
 }
 
 
@@ -620,12 +599,15 @@ def _parse_fast(argv: list[str]) -> SimpleNamespace | None:
     argparse calls. Any other token, such as "-h", "--", "--st",
     "--steps=3" or "-1", a value that fails its conversion or its
     choices, a missing required option or a wrong number of positionals
-    returns None.
+    returns None. It reads an option's dest, type, default, choices,
+    required and action, always "store_false", and a positional's type.
     """
     command = _COMMANDS.get(argv[0]) if argv else None
     if command is None:
         return None
-    values = dict(command.defaults)
+    run, _, positionals, options = command
+    defaults, required = _PRESETS[argv[0]]
+    values = dict(defaults)
     given = []
     tokens = iter(argv[1:])
     try:
@@ -635,29 +617,29 @@ def _parse_fast(argv: list[str]) -> SimpleNamespace | None:
             if token[0] != "-":
                 given.append(token)
                 continue
-            option = command.options.get(token)
-            if option is None:
+            keywords = options.get(token)
+            if keywords is None:
                 return None
-            if option.type is None:
-                values[option.dest] = False
+            if "action" in keywords:
+                values[keywords["dest"]] = False
                 continue
             text = next(tokens, "")
             if not text or text[0] == "-":
                 return None
-            value = option.type(text)
-            if option.choices is not None and value not in option.choices:
+            value = keywords["type"](text) if "type" in keywords else text
+            if "choices" in keywords and value not in keywords["choices"]:
                 return None
-            values[option.dest] = value
-        if len(given) != len(command.positionals):
+            values[keywords["dest"]] = value
+        if len(given) != len(positionals):
             return None
-        for (dest, convert, _), text in zip(command.positionals, given):
-            values[dest] = convert(text)
+        for (name, keywords), text in zip(positionals.items(), given):
+            values[name] = keywords["type"](text) if "type" in keywords else text
     except (TypeError, ValueError):  # what argparse reports as an invalid value
         return None
     # every token that starts with "-" was read as an option above
-    if any(flag not in argv for flag in command.required):
+    if any(flag not in argv for flag in required):
         return None
-    return SimpleNamespace(command=argv[0], run=command.run, **values)
+    return SimpleNamespace(command=argv[0], run=run, **values)
 
 
 @functools.cache
@@ -674,23 +656,18 @@ def _build_parser():
         description="Midpoint iteration on polygons: exact centroid-line verification and figures.",
     )
     sub = parser.add_subparsers(dest="command", required=True)
-    for name, command in _COMMANDS.items():
-        p = sub.add_parser(name, help=command.help)
-        for dest, convert, text in command.positionals:
-            p.add_argument(dest, type=convert, help=text)
-        for o in command.options.values():
-            if o.type is None:
-                p.add_argument(o.flag, action="store_false", dest=o.dest, default=o.default)
-            else:
-                p.add_argument(o.flag, type=o.type, dest=o.dest, default=o.default, choices=o.choices,
-                               required=o.required, metavar=o.metavar)
-        p.set_defaults(run=command.run)
+    for name, (run, summary, positionals, options) in _COMMANDS.items():
+        p = sub.add_parser(name, help=summary)
+        for key, keywords in {**positionals, **options}.items():
+            p.add_argument(key, **keywords)
+        p.set_defaults(run=run)
     return parser
 
 
 def _read_document(path: str) -> list[tuple[str, str]]:
     try:
-        text = Path(path).read_text(encoding="utf-8")
+        with open(path, encoding="utf-8") as document:
+            text = document.read()
     except OSError as exc:
         raise PolygonDocumentError(f"cannot read {path}: {exc}") from exc
     return parse_polygon_document(text)
@@ -713,7 +690,8 @@ def main(argv: list[str] | None = None) -> int:
 
     try:
         if args.output:
-            Path(args.output).write_text(text, encoding="utf-8")
+            with open(args.output, "w", encoding="utf-8") as out:
+                out.write(text)
         else:
             sys.stdout.write(text)
             sys.stdout.flush()

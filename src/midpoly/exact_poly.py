@@ -24,8 +24,8 @@ may copy them freely and parallelize over independent polygons.
 from __future__ import annotations
 
 import math
+from collections.abc import Iterable, Iterator, Sequence
 from fractions import Fraction
-from typing import Iterable, Iterator, Sequence
 
 from .errors import AreaZeroError, WrongSizeError
 from .record import Record

@@ -28,8 +28,8 @@ from __future__ import annotations
 
 import cmath
 import math
+from collections.abc import Iterable, Iterator
 from itertools import compress
-from typing import Iterable, Iterator
 
 from .errors import DegenerateDenominatorError, PolygonDocumentError, WrongSizeError
 from .exact_poly import Homogeneous, Polygon, to_homogeneous

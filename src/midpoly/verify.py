@@ -23,7 +23,7 @@ from __future__ import annotations
 import math
 import random
 import sys
-from typing import Sequence
+from collections.abc import Sequence
 
 from .errors import (
     AreaZeroError,

@@ -1,6 +1,6 @@
 """Mutation check of the exact kernel, the fuzz draws, the spectral mode
-sums, the float midpoint, the value records, the report writer and the
-command-line reader.
+sums, the float midpoint, the value records, the report writer, the
+hexagon verdict and the command-line reader.
 
 Each mutant replaces one exact fragment of one source file under
 src/midpoly/ and names the tests that must kill it. For each, the
@@ -91,12 +91,15 @@ MUTANTS = [
     ("float midpoint without its overflow fallback", SPECTRAL,
      "return 0.5 * a + 0.5 * b if math.isinf(half) else half", "return half"),
     ("iterate vertices transposed", CLI, "_homogeneous_json((x, y, w))", "_homogeneous_json((y, x, w))"),
-    ("fast-path flag stores True", CLI, "values[option.dest] = False", "values[option.dest] = True"),
-    ("fast-path required option not checked", CLI, "if any(flag not in argv for flag in command.required):",
+    ("fast-path flag stores True", CLI, 'values[keywords["dest"]] = False', 'values[keywords["dest"]] = True'),
+    ("fast-path required option not checked", CLI, "if any(flag not in argv for flag in required):", "if False:"),
+    ("fast-path choices not checked", CLI, 'if "choices" in keywords and value not in keywords["choices"]:',
      "if False:"),
-    ("fast-path choices not checked", CLI, "if option.choices is not None and value not in option.choices:",
-     "if False:"),
-    ("fast-path positional count not checked", CLI, "if len(given) != len(command.positionals):", "if False:"),
+    ("fast-path positional count not checked", CLI, "if len(given) != len(positionals):", "if False:"),
+    ("parser without the positionals", CLI, "{**positionals, **options}.items()", "options.items()"),
+    ("verify exit code from all_colinear", CLI, '"monotonicity": mono,\n    }\n    code = EXIT_OK if report.passed',
+     '"monotonicity": mono,\n    }\n    code = EXIT_OK if report.all_colinear'),
+    ("violation at the limit reported", VERIFY, "violation in (None, len(defined))", "violation is None"),
     ("record equality across types", RECORD, "if other.__class__ is not self.__class__:",
      "if not isinstance(other, Record):"),
     ("record hash without its last field", RECORD, "return hash(self._values())", "return hash(self._values()[:-1])"),

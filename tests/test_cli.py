@@ -30,6 +30,7 @@ from midpoly.cli import (
     FigureSpec,
     _dumps,
     _homogeneous_json,
+    _COMMANDS,
     _build_parser,
     _parse_fast,
     _TextPair,
@@ -275,17 +276,27 @@ class TestIterateCommand:
     def test_float_mode_two_steps(self):
         documents = [
             [("0", "0"), ("1", "0"), ("1/3", "0.7")],
-            # -1e-400 reads as -0.0: the first midpoint is (1.5, -0.0), where
-            # the complex product 0.5 * (q[k] + q[k+1]) gives (1.5, 0.0)
+            # -1e-400 reads as -0.0: the first midpoint is (1.5, -0.0)
             [("1", "-1e-400"), ("2", "-1e-400"), ("0", "1")],
+            # 1.5e308 + 1.6e308 overflows, but their midpoint does not
+            [("1.5e308", "0"), ("1.6e308", "1"), ("0", "1")],
+            # the first midpoint is (-0.0, -1.5); the complex product
+            # 0.5 * (q[k] + q[k+1]) gives its real part as 0.5 * -0.0 - 0.0 * -3.0 = 0.0
+            [("-1e-400", "-1"), ("-1e-400", "-2"), ("1", "0")],
         ]
+
+        def midpoint(a, b):
+            # correctly rounded (a + b) / 2; a zero takes the sign of the float sum,
+            # which is exact wherever the midpoint rounds to zero
+            return float((Fraction(a) + Fraction(b)) / 2) or 0.5 * (a + b)
+
         for pairs in documents:
             code, text = cmd_iterate(pairs, 2, "float")
             assert code == EXIT_OK
             chain = [[(float(Fraction(x)), float(Fraction(y))) for x, y in pairs]]
             for _ in range(2):
                 q = chain[-1]
-                chain.append([(0.5 * (a[0] + b[0]), 0.5 * (a[1] + b[1])) for a, b in zip(q, q[1:] + q[:1])])
+                chain.append([(midpoint(a[0], b[0]), midpoint(a[1], b[1])) for a, b in zip(q, q[1:] + q[:1])])
             want = [[[f"{x:.17g}", f"{y:.17g}"] for x, y in q] for q in chain]
             assert json.loads(text)["polygons"] == want
 
@@ -599,6 +610,16 @@ class TestMainEntry:
     def test_missing_file_exit(self, capsys):
         assert main(["verify", "/nonexistent/nope.json"]) == EXIT_USAGE
         capsys.readouterr()
+
+    def test_missing_file_named_as_typed(self, tmp_path, capsys, monkeypatch):
+        monkeypatch.chdir(tmp_path)
+        assert main(["verify", "./missing.json"]) == EXIT_USAGE
+        captured = capsys.readouterr()
+        assert captured.out == ""
+        assert captured.err == (
+            "midpoly: error: cannot read ./missing.json: "
+            "[Errno 2] No such file or directory: './missing.json'\n"
+        )
 
     def test_proposition_exits(self, capsys):
         assert main(["proposition", "7"]) == EXIT_OK
@@ -1213,6 +1234,23 @@ class TestCommandLineReading:
     ])
     def test_fast_path_declines(self, argv):
         assert _parse_fast(argv) is None
+
+
+class TestCommandTable:
+    def test_table_uses_only_keywords_the_fast_path_reads(self):
+        # argparse reads every keyword of the table; _parse_fast reads these
+        # (help and metavar only print), so a keyword such as nargs or
+        # action="store_true" would let the two readers drift apart
+        for name, (_, _, positionals, options) in _COMMANDS.items():
+            for key, keywords in positionals.items():
+                assert not key.startswith("-"), (name, key)
+                assert set(keywords) <= {"type", "help"}, (name, key)
+            for flag, keywords in options.items():
+                assert flag.startswith("--"), (name, flag)
+                assert "dest" in keywords, (name, flag)
+                assert set(keywords) <= {"dest", "type", "default", "choices", "required", "metavar", "action",
+                                         "help"}, (name, flag)
+                assert keywords.get("action", "store_false") == "store_false", (name, flag)
 
 
 class TestStartup:

@@ -196,11 +196,13 @@ class TestValueSemantics:
 
 class TestColdStart:
     def test_importing_the_cli_loads_no_dataclasses(self):
-        # -S: no site hooks, so only what midpoly itself imports is loaded
-        code = "import midpoly.cli, sys; print('dataclasses' in sys.modules)"
+        # -S: no site hooks, so only what midpoly itself imports is loaded;
+        # typing, pathlib and argparse are not needed either
+        unwanted = "{'dataclasses', 'typing', 'pathlib', 'argparse'}"
+        code = f"import midpoly.cli, sys; print(sorted({unwanted} & set(sys.modules)))"
         result = subprocess.run([sys.executable, "-S", "-c", code], env={**os.environ, "PYTHONPATH": str(SRC)},
                                 capture_output=True, text=True, check=True)
-        assert result.stdout == "False\n"
+        assert result.stdout == "[]\n"
 
     def test_no_code_is_compiled_at_run_time(self):
         builtin_call = re.compile(r"(?<![\w.])(exec|eval|compile)\(")
