@@ -152,15 +152,14 @@ def _float_coordinate(token: str) -> float:
 
 
 _JSON_NONFINITE = {"nan": "NaN", "inf": "Infinity", "-inf": "-Infinity"}
-_JSON_CONSTANTS = {None: "null", True: "true", False: "false"}.__getitem__
 # exact type -> C-level formatter; its text then passes through _JSON_NONFINITE,
 # which only a float's can match
 _JSON_SCALARS = {
     str: _json_str,
     int: int.__repr__,
     float: float.__repr__,
-    bool: _JSON_CONSTANTS,
-    type(None): _JSON_CONSTANTS,
+    bool: {True: "true", False: "false"}.__getitem__,
+    type(None): {None: "null"}.__getitem__,
 }
 
 
@@ -168,8 +167,10 @@ def _dumps(payload) -> str:
     """The text of payload as the json module prints it with indent=2 and
     sorted keys, plus a final newline, written without its pure-Python encoder.
 
-    Takes str, int, bool, float, None, lists, tuples (_TextPair too)
-    and dicts with str keys; any other type raises TypeError.
+    payload is a dict, list, tuple or _TextPair; below it, items are these
+    or str, int, bool, float and None, each of that exact type, and dict
+    keys are str. Any other type, a subclass of one of these included,
+    raises TypeError.
     """
     out: list[str] = []
     _write_json(payload, "\n", out)
@@ -187,18 +188,17 @@ _pair_template = '[{0}  "%s",{0}  "%s"{0}]'.format
 def _write_json(value, newline: str, out: list[str]) -> None:
     """Append the indented JSON text of value; newline opens its nested lines.
 
-    A _TextPair fills a template. Five or more items of one exact type,
+    Dispatches on exact types only. A _TextPair fills a template. A list,
+    tuple or dict writes its items of an exact type in _JSON_SCALARS in
+    place and recurses for the rest; five or more items of one exact type,
     int, finite float or _TextPair, are one join (fewer cost less in the
-    loop). Otherwise a container writes its items of an exact type in
-    _JSON_SCALARS in place and recurses for the rest; a scalar subclass,
-    such as an IntEnum, takes the isinstance chain, as in the json module.
+    loop). Any other type, such as an IntEnum or a dict subclass, raises
+    TypeError.
     """
-    if isinstance(value, (list, tuple)):
+    kind = type(value)
+    if kind is list or kind is tuple:
         if not value:
             out.append("[]")
-            return
-        if type(value) is _TextPair:
-            out.append(_pair_template(newline) % value)
             return
         inner = newline + "  "
         kind = type(value[0])
@@ -219,7 +219,7 @@ def _write_json(value, newline: str, out: list[str]) -> None:
                 out.append(_JSON_NONFINITE.get(text, text))
             sep = "," + inner
         out.append(newline + "]")
-    elif isinstance(value, dict):
+    elif kind is dict:
         if not value:
             out.append("{}")
             return
@@ -237,17 +237,10 @@ def _write_json(value, newline: str, out: list[str]) -> None:
                 out.append(_JSON_NONFINITE.get(text, text))
             sep = "," + inner
         out.append(newline + "}")
-    elif isinstance(value, str):
-        out.append(_json_str(value))
-    elif value is None or value is True or value is False:
-        out.append(_JSON_CONSTANTS(value))
-    elif isinstance(value, int):
-        out.append(int.__repr__(value))
-    elif isinstance(value, float):
-        text = float.__repr__(value)
-        out.append(_JSON_NONFINITE.get(text, text))
+    elif kind is _TextPair:
+        out.append(_pair_template(newline) % value)
     else:
-        raise TypeError(f"Object of type {type(value).__name__} is not JSON serializable")
+        raise TypeError(f"Object of type {kind.__name__} is not JSON serializable")
 
 
 def _fields(obj) -> dict:
@@ -274,12 +267,6 @@ def _homogeneous_json(h: Homogeneous | None):
     tw = (w & -w).bit_length() - 1
     w_odd = w >> tw
     return _TextPair((_reduced_text(x, w_odd, tw), _reduced_text(y, w_odd, tw)))
-
-
-def _complex_json(z: complex | None):
-    if z is None:
-        return None
-    return [z.real, z.imag]
 
 
 # ---------------------------- subcommands ----------------------------
@@ -363,7 +350,7 @@ def cmd_proposition(m: int, steps: int, tolerance: float) -> tuple[int, str]:
         **_fields(report),
         "steps": steps,
         "passed": report.passed,
-        "centroids": [_complex_json(z) for z in report.centroids],
+        "centroids": [None if z is None else [z.real, z.imag] for z in report.centroids],
     }
     code = EXIT_OK if report.passed else EXIT_VIOLATION
     return code, _dumps(payload)
@@ -682,7 +669,9 @@ def main(argv: list[str] | None = None) -> int:
     try:
         code, text = args.run(args)
     except ValueError as exc:
-        print(f"midpoly: error: {exc}", file=sys.stderr)
+        # Python 3.10 words the integer-string limit "(4300)", 3.11 on "(4300 digits)"
+        message = re.sub(r"\A(Exceeds the limit \(\d+)\)", r"\1 digits)", str(exc))
+        print(f"midpoly: error: {message}", file=sys.stderr)
         return EXIT_USAGE
     except InsufficientDataError as exc:
         print(f"midpoly: insufficient data: {exc}", file=sys.stderr)

@@ -77,6 +77,12 @@ def documents() -> dict[str, str]:
         "tiny_offset.json": _doc([["1", "1/10000000000000000"], ["0", "1"], ["-1", "1"],
                                   ["-1", "0"], ["0", "-1"], ["1", "-1"]]),
         "wide.json": _doc([[x, str(k)] for k, x in enumerate(["1" + "0" * 308, "-1" + "0" * 308] * 2 + ["0", "0"])]),
+        # centrally symmetric: every centroid is the limit, so the line has no direction
+        "symmetric_hex.json": _doc([["2", "0"], ["1", "2"], ["-1", "2"], ["-2", "0"], ["-1", "-2"], ["1", "-2"]]),
+        # zero area, so G_0 is undefined
+        "g0_undefined_hex.json": _doc([["0", "0"], ["-1", "-3"], ["0", "2"], ["1", "-2"], ["3", "1"], ["-3", "-2"]]),
+        # the second iterate has zero area, so G_2 is undefined
+        "g2_undefined_hex.json": _doc([["1", "-3"], ["0", "3"], ["-2", "-2"], ["3", "-1"], ["1", "-2"], ["0", "-1"]]),
         "triangle.json": _doc([["0", "0"], ["4", "0"], ["1", "3"]]),
         "square.json": _doc([["0", "0"], ["1", "0"], ["1", "1"], ["0", "1"]]),
         "pentagon.json": _doc([["0", "0"], ["3", "0"], ["4", "2"], ["1", "4"], ["-1", "2"]]),
@@ -116,6 +122,9 @@ def command_lines() -> list[list[str]]:
         ]
     for doc in ["readme_hex.json", *(f"deep_orbit-1-{i}.json" for i in range(4)), "digits300.json"]:
         lines.append(["verify", doc, "--steps", "200"])
+    # reports that print null among the centroids or as the line's direction
+    for doc in ["symmetric_hex.json", "g0_undefined_hex.json", "g2_undefined_hex.json"]:
+        lines += [["verify", doc, "--steps", "6"], ["figure", doc, "--output", svg]]
     lines += [
         ["verify", "readme_hex.json", "--steps", "1"],
         ["verify", "readme_hex.json", "--steps", "2"],

@@ -1,6 +1,7 @@
-"""Mutation check of the exact kernel, the fuzz draws, the spectral mode
-sums, the float midpoint, the value records, the report writer, the
-hexagon verdict and the command-line reader.
+"""Mutation check of the exact kernel, the fuzz draws and tallies, the
+spectral mode sums, the float midpoint, the value records, the report
+writer, the hexagon verdict, the moment-scaling check, the commands'
+exit codes and the command-line reader.
 
 Each mutant replaces one exact fragment of one source file under
 src/midpoly/ and names the tests that must kill it. For each, the
@@ -10,7 +11,7 @@ exact_poly.py, verify.py or record.py,
 
     python -m pytest -x -q tests/test_record.py tests/test_spectral.py \
         tests/test_exact_poly.py tests/test_verify.py tests/test_acceptance.py \
-        tests/test_golden.py
+        tests/test_golden.py tests/test_cli.py
 
 and for a mutant of cli.py
 
@@ -51,6 +52,8 @@ KERNEL_TESTS = (
     "tests/test_verify.py",
     "tests/test_acceptance.py",
     "tests/test_golden.py",
+    # last: its monkeypatched verdicts reach the fuzz tallies that no real hexagon fails
+    "tests/test_cli.py",
 )
 CLI_TESTS = ("tests/test_cli.py",)
 
@@ -100,6 +103,20 @@ MUTANTS = [
     ("verify exit code from all_colinear", CLI, '"monotonicity": mono,\n    }\n    code = EXIT_OK if report.passed',
      '"monotonicity": mono,\n    }\n    code = EXIT_OK if report.all_colinear'),
     ("violation at the limit reported", VERIFY, "violation in (None, len(defined))", "violation is None"),
+    ("written dict items unsorted", CLI, "for key, item in sorted(value.items()):", "for key, item in value.items():"),
+    ("written tuple rejected", CLI, "if kind is list or kind is tuple:", "if kind is list:"),
+    ("written scalar subclass accepted", CLI,
+     'raise TypeError(f"Object of type {kind.__name__} is not JSON serializable")', "out.append(json.dumps(value))"),
+    ("fuzz exit code from the scaling failures", CLI, "code = EXIT_OK if summary.failures == 0",
+     "code = EXIT_OK if summary.z_scaling_failures == 0"),
+    ("proposition exit code from ratio_ok", CLI, "report.centroids],\n    }\n    code = EXIT_OK if report.passed",
+     "report.centroids],\n    }\n    code = EXIT_OK if report.ratio_ok"),
+    ("theorem failure counted as a pass", VERIFY, "theorem_failures += 1", "theorem_passes += 1"),
+    ("point line holds every point", VERIFY, "return same_point(q, anchor)", "return True"),
+    ("membership without the point's weight", VERIFY, "return qw * (ax * dy - ay * dx) ==",
+     "return (ax * dy - ay * dx) =="),
+    ("moment scaling by 2", VERIFY, "zx1 == 3 * zx and zy1 == 3 * zy", "zx1 == 2 * zx and zy1 == 2 * zy"),
+    ("moment scaling of y against x", VERIFY, "zy1 == 3 * zy", "zy1 == 3 * zx"),
     ("record equality across types", RECORD, "if other.__class__ is not self.__class__:",
      "if not isinstance(other, Record):"),
     ("record hash without its last field", RECORD, "return hash(self._values())", "return hash(self._values()[:-1])"),

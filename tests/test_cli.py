@@ -58,9 +58,11 @@ from midpoly.verify import (
     PROPOSITION_MAX_M,
     PROPOSITION_MAX_STEPS,
     VERIFY_MAX_STEPS,
+    CounterexampleReport,
     FuzzConfig,
     _decide_line,
     fuzz_hexagons,
+    verify_proposition,
 )
 
 HEX_DOC = {
@@ -358,6 +360,21 @@ class TestFuzzCommand:
         assert data["first_failure"]["trial"] == 0
         assert data["first_failure"]["reason"] == "moment scaling Z(Mv) != (3/8) Z(v) after projection"
 
+    def test_theorem_failure_recorded(self, monkeypatch):
+        # G_1 and G_2 fix the x-axis and G_3 = (2, 1) is off it; no real hexagon fails
+        import midpoly.verify
+
+        report = _decide_line(((0, 0, 1), (0, 0, 1), (1, 0, 1), (2, 1, 1)), (5, 0, 1))
+        assert report.failure == "centroids not colinear, first violation at iterate 3"
+        monkeypatch.setattr(midpoly.verify, "_decide_line", lambda orbit, limit: report)
+        code, text = cmd_fuzz(FuzzConfig(seed=42, trials=5, coordinate_bound=9, steps=8))
+        assert code == EXIT_VIOLATION
+        data = json.loads(text)
+        assert (data["theorem_failures"], data["theorem_passes"]) == (5, 0)
+        assert (data["z_scaling_failures"], data["z_scaling_passes"]) == (0, 5)
+        assert data["first_failure"]["trial"] == 0
+        assert data["first_failure"]["reason"] == report.failure
+
     def test_failure_report_matches_json_module(self, monkeypatch):
         import midpoly.verify
 
@@ -409,6 +426,14 @@ class _Real(float):
     pass
 
 
+class _Items(list):
+    pass
+
+
+class _Table(dict):
+    pass
+
+
 class TestReportWriter:
     """_dumps prints what json.dumps(indent=2, sort_keys=True) prints, plus a newline."""
 
@@ -418,12 +443,10 @@ class TestReportWriter:
     @example({})
     @example(((), {}, [[]], {"b": {}, "a": ()}))
     @example({"\u00e9": [True, False, None, 0, -0.0, 2**64 + 1]})
-    # subclasses of the scalar types are written as their base type
-    @example(_Level.LOW)
-    @example([_Level.LOW, _Tag("t\u00e9"), _Real(0.1), _Real("inf"), _Real("-inf"), _Real("nan")])
-    @example({_Tag("k"): _Level.LOW, "r": (_Real(-0.0),), "t": {"x": _Tag("")}})
     def test_matches_json_module(self, value):
-        assert _dumps(value) == json.dumps(value, indent=2, sort_keys=True) + "\n"
+        # a report is a container, so a generated leaf is written inside one
+        for payload in ([value], {"k": value}):
+            assert _dumps(payload) == json.dumps(payload, indent=2, sort_keys=True) + "\n"
 
     @settings(max_examples=200, deadline=None)
     @given(st.lists(st.one_of(st.none(), st.tuples(pair_strings, pair_strings)), max_size=12))
@@ -451,9 +474,6 @@ class TestReportWriter:
     @example([1, True])
     @example([1, 2, 3, 4, True])
     @example([True, 1, 2, 3, 4])
-    @example([1, 2, 3, 4, _Level.LOW])
-    @example([_Level.LOW] * 6)
-    @example([1.0, 2.0, 3.0, 4.0, _Real(0.5)])
     @example([1.0, 2.0, 3.0, 4.0, 5])
     @example([])
     def test_homogeneous_lists_match_json_module(self, value):
@@ -468,6 +488,19 @@ class TestReportWriter:
         for value in (leaf, [1, leaf], {"k": (leaf,)}):
             with pytest.raises(TypeError):
                 _dumps(value)
+
+    @pytest.mark.parametrize("leaf", [_Level.LOW, _Tag("t"), _Real(0.5), _Real("nan")], ids=repr)
+    def test_scalar_subclass_leaf_raises_type_error(self, leaf):
+        # the json module writes these as their base type; the writer takes exact types only
+        json.dumps(leaf)
+        for value in ([leaf], [1, 2, 3, 4, leaf], [leaf] * 6, {"k": leaf}, {"k": (None, leaf)}):
+            with pytest.raises(TypeError):
+                _dumps(value)
+
+    @pytest.mark.parametrize("value", ["text", 0, 0.5, True, None, _Items([1]), _Table(k=1)], ids=repr)
+    def test_top_level_scalar_or_container_subclass_raises_type_error(self, value):
+        with pytest.raises(TypeError):
+            _dumps(value)
 
     def test_non_string_key_raises_type_error(self):
         with pytest.raises(TypeError):
@@ -486,6 +519,18 @@ class TestPropositionCommand:
         code, text = cmd_proposition(5, 10, 1e-9)
         assert code == EXIT_OK
         assert abs(json.loads(text)["expected_ratio"] - (-0.3819660)) <= 1e-6
+
+    @pytest.mark.parametrize("failed", ["ratio_ok", "lines_pairwise_distinct"])
+    def test_either_failed_check_exits_violation(self, failed, monkeypatch):
+        import midpoly.cli
+
+        report = verify_proposition(7, 10)
+        assert report.passed
+        failing = CounterexampleReport(**{**vars(report), failed: False})
+        monkeypatch.setattr(midpoly.cli, "verify_proposition", lambda m, steps, rel_tol: failing)
+        code, text = cmd_proposition(7, 10, 1e-9)
+        assert code == EXIT_VIOLATION
+        assert json.loads(text)["passed"] is False
 
     def test_hexagon_unsupported(self):
         from midpoly.errors import UnsupportedSizeError
@@ -800,6 +845,37 @@ class TestMainEntry:
         assert captured.out == ""
         assert captured.err.startswith(f"midpoly: error: Exceeds the limit ({limit} digits)")
         assert captured.err.count("\n") == 1 and captured.err.endswith("\n")
+
+    def test_coordinate_past_int_digit_limit_exits_usage(self, tmp_path, capsys):
+        previous = sys.get_int_max_str_digits()
+        limit = previous or sys.int_info.default_max_str_digits
+        vertices = [["1" * (limit + 1), "3"], ["0", "1"], ["-1", "1"], ["-1", "0"], ["0", "-1"], ["1", "-1"]]
+        big = self.write(tmp_path, "big.json", {"vertices": vertices})
+        sys.set_int_max_str_digits(limit)
+        try:
+            assert main(["verify", big]) == EXIT_USAGE
+        finally:
+            sys.set_int_max_str_digits(previous)
+        captured = capsys.readouterr()
+        assert captured.out == ""
+        assert captured.err.startswith(
+            f"midpoly: error: Exceeds the limit ({limit} digits) for integer string conversion: "
+            f"value has {limit + 1} digits; ")
+
+    @pytest.mark.parametrize("detail", ["", ": value has 5000 digits"], ids=["print", "read"])
+    def test_int_digit_limit_message_names_digits(self, detail, tmp_path, capsys, monkeypatch):
+        # Python 3.10 words the limit "(4300)"; midpoly prints it as 3.11 and later do
+        import midpoly.cli
+
+        def python_3_10(pairs, steps):
+            raise ValueError(f"Exceeds the limit (4300) for integer string conversion{detail}; use "
+                             "sys.set_int_max_str_digits() to increase the limit")
+
+        monkeypatch.setattr(midpoly.cli, "cmd_verify", python_3_10)
+        assert main(["verify", self.write(tmp_path, "hex.json", HEX_DOC)]) == EXIT_USAGE
+        assert capsys.readouterr().err == (
+            f"midpoly: error: Exceeds the limit (4300 digits) for integer string conversion{detail}; "
+            "use sys.set_int_max_str_digits() to increase the limit\n")
 
     def test_verify_steps_limit_exits_usage(self, tmp_path, capsys):
         hex_path = self.write(tmp_path, "hex.json", HEX_DOC)

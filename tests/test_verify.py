@@ -316,6 +316,8 @@ VERDICT_CASES = {
         (None, (0, 0, 1), (1, 1, 1), (4, 4, 2), (3, 4, 1)), (-1, -1, 1), 4, False),
     "limit-off-line": (((7, 7, 1), (0, 0, 1), (1, 1, 1), None, (2, 2, 1)), (1, 0, 1), None, False),
     "all-equal-to-limit": (((1, 2, 1), (2, 4, 2), None, (3, 6, 3)), (1, 2, 1), None, True),
+    # no direction, so G_0 is on the line only where it is the anchor
+    "all-equal-to-limit-g0-apart": (((5, 5, 1), (2, 4, 2), (1, 2, 1)), (1, 2, 1), None, True),
     "all-equal-distinct-limit": (((5, 5, 1), (1, 1, 1), (2, 2, 2), (1, 1, 1)), (0, 3, 1), None, True),
     "too-few-defined": (((0, 0, 1), None, (1, 1, 1), None), (1, 1, 1), None, None),
 }
