@@ -74,6 +74,9 @@ EXIT_INSUFFICIENT = 3
 # and draws them in about 0.15 s (timeit best of 5, Python 3.11.7, 2-vCPU Xeon).
 ITERATE_MAX_STEPS = 2000
 FIGURE_MAX_STEPS = 2000
+# figure scales an extent of at least 1e-12 (a smaller one is widened to 1)
+# onto a canvas side less its margins; up to this side that scale is finite.
+FIGURE_MAX_SIDE = 10**296
 
 _INT_RE = re.compile(r"[+-]?\d+\Z")
 _FRACTION_RE = re.compile(r"[+-]?\d+/(\d+)\Z")
@@ -243,11 +246,6 @@ def _write_json(value, newline: str, out: list[str]) -> None:
         raise TypeError(f"Object of type {kind.__name__} is not JSON serializable")
 
 
-def _fields(obj) -> dict:
-    """A record's fields by name, values as they are, not copied."""
-    return {name: getattr(obj, name) for name in obj._fields}
-
-
 def _reduced_text(x: int, w_odd: int, tw: int) -> str:
     """str(Fraction(x, w_odd << tw)) for odd w_odd > 0: gcd(x, w) = gcd(x_odd, w_odd) << min(tv, tw), 2^tv in x."""
     if not x:
@@ -309,7 +307,7 @@ def cmd_verify(pairs: list[tuple[str, str]], steps: int) -> tuple[int, str]:
         return EXIT_INSUFFICIENT, _dumps(payload)
 
     try:
-        mono = _fields(diagnostics_from_report(report))
+        mono = vars(diagnostics_from_report(report))
     except InsufficientDataError:
         mono = None
 
@@ -335,9 +333,9 @@ def cmd_verify(pairs: list[tuple[str, str]], steps: int) -> tuple[int, str]:
 def cmd_fuzz(cfg: FuzzConfig) -> tuple[int, str]:
     """Seeded random campaign over integer hexagons."""
     summary = fuzz_hexagons(cfg)
-    payload = {"schema": "fuzz/1", **_fields(summary)}
+    payload = {"schema": "fuzz/1", **vars(summary)}
     if summary.first_failure is not None:
-        payload["first_failure"] = _fields(summary.first_failure)
+        payload["first_failure"] = vars(summary.first_failure)
     code = EXIT_OK if summary.failures == 0 else EXIT_VIOLATION
     return code, _dumps(payload)
 
@@ -347,7 +345,7 @@ def cmd_proposition(m: int, steps: int, tolerance: float) -> tuple[int, str]:
     report = verify_proposition(m, steps, rel_tol=tolerance)
     payload = {
         "schema": "proposition/1",
-        **_fields(report),
+        **vars(report),
         "steps": steps,
         "passed": report.passed,
         "centroids": [None if z is None else [z.real, z.imag] for z in report.centroids],
@@ -380,22 +378,19 @@ class FigureSpec(Record):
                 raise ValueError("opacities must lie in [0, 1]")
         if self.width < 1 or self.height < 1:
             raise ValueError("canvas must be at least 1x1")
+        if self.width > FIGURE_MAX_SIDE or self.height > FIGURE_MAX_SIDE:
+            raise ValueError(f"canvas sides must be at most {FIGURE_MAX_SIDE:.0e}")
 
 
 def _clip_infinite_line(ax, ay, dx, dy, width, height):
-    """Intersect the line through (ax, ay) with direction (dx, dy) with the canvas."""
+    """The canvas chord of the line through (ax, ay), a point strictly inside, along (dx, dy), |dx| or |dy| >= 1e-12."""
     t0, t1 = -math.inf, math.inf
     for a, d, hi in ((ax, dx, float(width)), (ay, dy, float(height))):
-        if abs(d) < 1e-12:
-            if a < 0.0 or a > hi:
-                return None
-        else:
+        if abs(d) >= 1e-12:
             ta, tb = (0.0 - a) / d, (hi - a) / d
             if ta > tb:
                 ta, tb = tb, ta
             t0, t1 = max(t0, ta), min(t1, tb)
-    if not t0 < t1:
-        return None
     return (ax + t0 * dx, ay + t0 * dy), (ax + t1 * dx, ay + t1 * dy)
 
 
@@ -474,9 +469,8 @@ def render_figure(poly: Polygon, spec: FigureSpec) -> str:
                 d = marks[first + 1] - marks[0]
                 norm = max(abs(d.real), abs(d.imag))
                 dx, dy = (d.real / norm, -d.imag / norm) if 0.0 < norm < math.inf else (0.0, 0.0)
-            seg = _clip_infinite_line(ax, ay, dx, dy, spec.width, spec.height) if dx or dy else None
-            if seg is not None:
-                (x1, y1), (x2, y2) = seg
+            if dx or dy:
+                (x1, y1), (x2, y2) = _clip_infinite_line(ax, ay, dx, dy, spec.width, spec.height)
                 parts.append(
                     f'  <line x1="{x1:.3f}" y1="{y1:.3f}" x2="{x2:.3f}" y2="{y2:.3f}" '
                     f'stroke="#000000" stroke-width="1.2"/>'

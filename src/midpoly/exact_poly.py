@@ -57,7 +57,24 @@ def point(x, y) -> PlanePoint:
     return PlanePoint(Fraction(x), Fraction(y))
 
 
-class Polygon(Record):
+class _VertexList(Record):
+    """A nonempty `vertices` tuple read as that sequence; each subclass annotates `vertices` itself."""
+
+    def __post_init__(self):
+        if len(self.vertices) < 1:
+            raise WrongSizeError("a polygon needs at least one vertex")
+
+    def __len__(self) -> int:
+        return len(self.vertices)
+
+    def __iter__(self):
+        return iter(self.vertices)
+
+    def __getitem__(self, k: int):
+        return self.vertices[k]
+
+
+class Polygon(_VertexList):
     """An ordered vertex list; indices are understood modulo the length.
 
     Any vertex configuration is legal: no simplicity, convexity, or
@@ -66,22 +83,9 @@ class Polygon(Record):
 
     vertices: tuple[PlanePoint, ...]
 
-    def __post_init__(self):
-        if len(self.vertices) < 1:
-            raise WrongSizeError("a polygon needs at least one vertex")
-
     @classmethod
     def from_coords(cls, coords: Iterable[tuple]) -> "Polygon":
         return cls(tuple(point(x, y) for x, y in coords))
-
-    def __len__(self) -> int:
-        return len(self.vertices)
-
-    def __iter__(self):
-        return iter(self.vertices)
-
-    def __getitem__(self, k: int) -> PlanePoint:
-        return self.vertices[k]
 
 
 def midpoint_map(p: Polygon) -> Polygon:

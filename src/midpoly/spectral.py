@@ -32,29 +32,16 @@ from collections.abc import Iterable, Iterator
 from itertools import compress
 
 from .errors import DegenerateDenominatorError, PolygonDocumentError, WrongSizeError
-from .exact_poly import Homogeneous, Polygon, to_homogeneous
+from .exact_poly import Homogeneous, Polygon, _VertexList, to_homogeneous
 from .record import Record
 
 _SQRT3 = math.sqrt(3.0)
 
 
-class FloatPolygon(Record):
+class FloatPolygon(_VertexList):
     """Float mirror of a polygon: vertices as complex numbers."""
 
     vertices: tuple[complex, ...]
-
-    def __post_init__(self):
-        if len(self.vertices) < 1:
-            raise WrongSizeError("a polygon needs at least one vertex")
-
-    def __len__(self) -> int:
-        return len(self.vertices)
-
-    def __iter__(self):
-        return iter(self.vertices)
-
-    def __getitem__(self, k: int) -> complex:
-        return self.vertices[k]
 
 
 class ModeVector(Record):

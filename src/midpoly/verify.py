@@ -495,10 +495,7 @@ def fuzz_hexagons(cfg: FuzzConfig) -> FuzzSummary:
             first_failure = FuzzFailure(trial=trial, vertices=coords, reason=reason)
 
     return FuzzSummary(
-        seed=cfg.seed,
-        trials=cfg.trials,
-        coordinate_bound=cfg.coordinate_bound,
-        steps=cfg.steps,
+        **vars(cfg),
         theorem_passes=theorem_passes,
         theorem_failures=theorem_failures,
         z_scaling_passes=z_scaling_passes,

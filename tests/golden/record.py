@@ -63,6 +63,7 @@ def documents() -> dict[str, str]:
     """Every document a command line of the corpus reads, by file name."""
     readme = [["0", "2/5"], ["16/5", "1/2"], ["3", "-1/2"], ["12/5", "2"], ["-2", "5/2"], ["-3/10", "6/5"]]
     one_over = "1/1" + "0" * 306
+    tiny = "1/1" + "0" * 11
     return {
         "readme_hex.json": _doc(readme),
         "l_hex.json": _doc([["0", "0"], ["2", "0"], ["2", "1"], ["1", "1"], ["1", "2"], ["0", "2"]]),
@@ -70,12 +71,16 @@ def documents() -> dict[str, str]:
         **_deep_orbit_docs(1, 4),
         "digits300.json": _digits_doc(300, 300),
         "digits300_over.json": _digits_doc(300, 301, 10**300 - 1),
+        # 10^399 is past the float range, so `float(Fraction(...))` raises OverflowError
+        "digits400.json": _doc([["1" + "0" * 399, "3"], ["0", "1"], ["-1", "1"], ["-1", "0"], ["0", "-1"], ["1", "-1"]]),
         "digits2000.json": _doc([["1" + "0" * 1999, "3"], ["0", "1"], ["-1", "1"], ["-1", "0"], ["0", "-1"], ["1", "-1"]]),
         "digits3000.json": _doc([["1" + "0" * 2999, "3"], ["0", "1"], ["-1", "1"], ["-1", "0"], ["0", "-1"], ["1", "-1"]]),
         # area 10^-306 / 4: G_0 and G_1 lie at x = -10^306 / 1.5 and / 3
         "far306.json": _doc([["0", "0"], ["1/2", "1/2"], ["1", "1"], ["1", one_over], ["1/2", "1/2"], ["0", "1"]]),
         "tiny_offset.json": _doc([["1", "1/10000000000000000"], ["0", "1"], ["-1", "1"],
                                   ["-1", "0"], ["0", "-1"], ["1", "-1"]]),
+        # sides of 10^-11: on a canvas side of 10^300 the drawing scale would overflow
+        "tiny_hex.json": _doc([["0", "0"], [tiny, "0"], [tiny, tiny], ["0", tiny], ["-" + tiny, "0"], ["0", "-" + tiny]]),
         "wide.json": _doc([[x, str(k)] for k, x in enumerate(["1" + "0" * 308, "-1" + "0" * 308] * 2 + ["0", "0"])]),
         # centrally symmetric: every centroid is the limit, so the line has no direction
         "symmetric_hex.json": _doc([["2", "0"], ["1", "2"], ["-1", "2"], ["-2", "0"], ["-1", "-2"], ["1", "-2"]]),
@@ -164,6 +169,7 @@ def command_lines() -> list[list[str]]:
         ["iterate", "decimal_hex.json", "--steps", "3", "--mode", "float"],
         ["iterate", "wide.json", "--steps", "1", "--mode", "float"],
         ["iterate", "float_overflow.json", "--mode", "float"],
+        ["iterate", "digits400.json", "--mode", "float"],
         ["iterate", "float_huge_exponent.json", "--mode", "float"],
         ["iterate", "signed_zero.json", "--steps", "0", "--mode", "float"],
         ["iterate", "signed_zero.json", "--steps", "2", "--mode", "float"],
@@ -183,6 +189,11 @@ def command_lines() -> list[list[str]]:
         ["figure", "readme_hex.json", "--fade-start", "0.5", "--fade-end", "0", "--output", svg],
         ["figure", "readme_hex.json", "--fade-start", "2", "--output", svg],
         ["figure", "readme_hex.json", "--width", "0", "--output", svg],
+        # canvas sides up to FIGURE_MAX_SIDE = 10^296 are drawn, larger ones rejected
+        ["figure", "readme_hex.json", "--width", str(10**400), "--output", svg],
+        ["figure", "readme_hex.json", "--height", str(10**400), "--output", svg],
+        ["figure", "tiny_hex.json", "--width", str(10**300), "--height", str(10**300), "--output", svg],
+        ["figure", "tiny_hex.json", "--width", str(10**296), "--height", str(10**296), "--output", svg],
         ["figure", "readme_hex.json", "--steps", "0", "--output", svg],
         ["figure", "readme_hex.json", "--steps", "2001", "--output", svg],
         ["figure", "readme_hex.json", "--output", "no_such_dir/out.svg"],

@@ -1,7 +1,8 @@
 """Mutation check of the exact kernel, the fuzz draws and tallies, the
 spectral mode sums, the float midpoint, the value records, the report
-writer, the hexagon verdict, the moment-scaling check, the commands'
-exit codes and the command-line reader.
+writer, the hexagon verdict and its convergence diagnostics, the
+moment-scaling check, the commands' exit codes, the float coordinate
+reader, the figure's canvas bound and the command-line reader.
 
 Each mutant replaces one exact fragment of one source file under
 src/midpoly/ and names the tests that must kill it. For each, the
@@ -126,6 +127,14 @@ MUTANTS = [
      "object.__setattr__(self, name, value)"),
     ("record unknown keyword dropped", RECORD, "if key not in self._field_set:", "if False:"),
     ("record surplus positional dropped", RECORD, "if len(args) > len(self._fields):", "if False:"),
+    ("empty vertex list accepted", EXACT_POLY, "if len(self.vertices) < 1:", "if False:"),
+    ("fuzz failure printed as the summary", CLI, "vars(summary.first_failure)", "vars(summary)"),
+    ("canvas side not bounded", CLI, "if self.width > FIGURE_MAX_SIDE or self.height > FIGURE_MAX_SIDE:", "if False:"),
+    ("float overflow read as zero", CLI, "value = math.inf", "value = 0.0"),
+    ("every sign counted as a change", VERIFY, "zip(nonzero, nonzero[1:]) if a != b)", "zip(nonzero, nonzero[1:]) if a == b)"),
+    ("ratio across a gap", VERIFY, "None if kb != ka + 1 or not a2", "None if not a2"),
+    ("monotone run starts one early", VERIFY, "stable_from = indices[pos + 1]", "stable_from = indices[pos]"),
+    ("verdict from one centroid", VERIFY, "if len(defined) < 2:", "if len(defined) < 1:"),
 ]
 
 

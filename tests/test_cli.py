@@ -14,6 +14,7 @@ from contextlib import redirect_stderr, redirect_stdout
 from fractions import Fraction
 from io import StringIO
 from pathlib import Path
+from unittest import mock
 
 import pytest
 from hypothesis import HealthCheck, example, given, settings
@@ -25,6 +26,7 @@ from midpoly.cli import (
     EXIT_OK,
     EXIT_USAGE,
     EXIT_VIOLATION,
+    FIGURE_MAX_SIDE,
     FIGURE_MAX_STEPS,
     ITERATE_MAX_STEPS,
     FigureSpec,
@@ -32,6 +34,7 @@ from midpoly.cli import (
     _homogeneous_json,
     _COMMANDS,
     _build_parser,
+    _clip_infinite_line,
     _parse_fast,
     _TextPair,
     cmd_figure,
@@ -85,6 +88,11 @@ L_HEX_DOC = {
 TINY_OFFSET_HEX_DOC = {
     "vertices": [["1", "1/10000000000000000"], ["0", "1"], ["-1", "1"],
                  ["-1", "0"], ["0", "-1"], ["1", "-1"]]
+}
+# Sides of 10^-11: on a canvas of side 10^300 its drawing scale would overflow.
+TINY_HEX_DOC = {
+    "vertices": [["0", "0"], ["1/100000000000", "0"], ["1/100000000000", "1/100000000000"],
+                 ["0", "1/100000000000"], ["-1/100000000000", "0"], ["0", "-1/100000000000"]]
 }
 # Each coordinate is a double, but max x - min x is not.
 WIDE_HEX_DOC = {
@@ -574,6 +582,14 @@ class TestPropositionCommand:
         assert captured.err == f"midpoly: error: {message}\n"
 
 
+# integer coordinates, and fractions of up to 300 digits over up to 300 digits
+figure_coordinates = st.one_of(
+    st.integers(-(10**6), 10**6),
+    st.builds(Fraction, st.integers(-(10**300), 10**300), st.integers(1, 10**300)),
+)
+canvas_sides = st.one_of(st.integers(1, 10**6), st.integers(1, FIGURE_MAX_SIDE))
+
+
 class TestFigure:
     def test_element_counts(self):
         code, svg = cmd_figure(doc(HEX_DOC), FigureSpec(steps=13))
@@ -625,6 +641,35 @@ class TestFigure:
             FigureSpec(steps=0)
         with pytest.raises(ValueError):
             FigureSpec(fade_start=1.5)
+
+    @settings(max_examples=150, deadline=None)
+    @given(
+        st.lists(st.tuples(figure_coordinates, figure_coordinates), min_size=6, max_size=6),
+        st.integers(1, 40),
+        st.tuples(canvas_sides, canvas_sides),
+    )
+    def test_line_anchor_inside_and_chord_ends_on_edge(self, coords, steps, sides):
+        width, height = sides
+        chords = []
+
+        def clip(ax, ay, dx, dy, w, h):
+            chord = _clip_infinite_line(ax, ay, dx, dy, w, h)
+            chords.append(((ax, ay), chord))
+            return chord
+
+        with mock.patch("midpoly.cli._clip_infinite_line", clip):
+            try:
+                svg = render_figure(Polygon.from_coords(coords), FigureSpec(steps=steps, width=width, height=height))
+            except PolygonDocumentError:  # a centroid or the span beyond the float range
+                return
+        assert "nan" not in svg and "inf" not in svg
+        assert svg.count("<line") == len(chords) <= 1
+        tol = 1e-9 * max(width, height)
+        for (ax, ay), ends in chords:
+            assert 0.0 < ax < width and 0.0 < ay < height
+            for x, y in ends:
+                assert -tol <= x <= width + tol and -tol <= y <= height + tol
+                assert min(abs(x), abs(x - width), abs(y), abs(y - height)) <= tol
 
 
 class TestMainEntry:
@@ -688,12 +733,13 @@ class TestMainEntry:
         assert json.loads(out)["trials"] == 10
 
     def test_float_overflow_exits_usage(self, tmp_path, capsys):
-        big = self.write(tmp_path, "big.json", {"vertices": [["1e400", "0"], ["1", "0"], ["0", "1"]]})
-        assert main(["iterate", big, "--mode", "float"]) == EXIT_USAGE
-        captured = capsys.readouterr()
-        assert captured.out == ""
-        assert captured.err.startswith("midpoly: error: ")
-        assert captured.err.count("\n") == 1
+        # a decimal reads as inf; an integer or a fraction raises OverflowError in float()
+        for token in ["1e400", "1" + "0" * 399, "-1" + "0" * 399 + "/3"]:
+            big = self.write(tmp_path, "big.json", {"vertices": [[token, "0"], ["1", "0"], ["0", "1"]]})
+            assert main(["iterate", big, "--mode", "float"]) == EXIT_USAGE
+            captured = capsys.readouterr()
+            assert captured.out == ""
+            assert captured.err == "midpoly: error: coordinate out of float range\n"
 
     def test_figure_overflow_exits_usage(self, tmp_path, capsys):
         vertices = [["1" + "0" * 400, "0"], ["1", "0"], ["1", "1"], ["0", "1"], ["-1", "1"], ["0", "2"]]
@@ -1045,8 +1091,12 @@ class TestMainEntry:
              f"at most {ITERATE_MAX_STEPS} iterations, got {ITERATE_MAX_STEPS + 1}"),
             (["figure", "HEX", "--steps", str(FIGURE_MAX_STEPS + 1), "--output", "OUT"],
              f"at most {FIGURE_MAX_STEPS} iterations, got {FIGURE_MAX_STEPS + 1}"),
+            (["figure", "HEX", "--width", str(FIGURE_MAX_SIDE + 1), "--output", "OUT"],
+             "canvas sides must be at most 1e+296"),
+            (["figure", "HEX", "--height", str(10**400), "--output", "OUT"], "canvas sides must be at most 1e+296"),
         ],
-        ids=["fuzz-trials", "fuzz-steps", "fuzz-bound", "fuzz-seed", "iterate-steps", "iterate-float-steps", "figure-steps"],
+        ids=["fuzz-trials", "fuzz-steps", "fuzz-bound", "fuzz-seed", "iterate-steps", "iterate-float-steps", "figure-steps",
+             "figure-width", "figure-height"],
     )
     def test_cost_limits_exit_usage(self, argv, message, tmp_path, capsys):
         hex_path = self.write(tmp_path, "hex.json", HEX_DOC)
@@ -1064,12 +1114,14 @@ class TestMainEntry:
             ["fuzz", "--trials", "3", "--steps", str(FUZZ_MAX_STEPS)],
             ["fuzz", "--trials", "3", "--bound", str(FUZZ_MAX_BOUND)],
             ["iterate", "HEX", "--steps", str(ITERATE_MAX_STEPS), "--mode", "float"],
+            ["figure", "HEX", "--width", str(FIGURE_MAX_SIDE), "--height", str(FIGURE_MAX_SIDE), "--output", "OUT"],
         ],
-        ids=["fuzz-steps", "fuzz-bound", "iterate-float-steps"],
+        ids=["fuzz-steps", "fuzz-bound", "iterate-float-steps", "figure-sides"],
     )
     def test_cost_limits_are_inclusive(self, argv, tmp_path, capsys):
         hex_path = self.write(tmp_path, "hex.json", HEX_DOC)
-        assert main([hex_path if a == "HEX" else a for a in argv]) == EXIT_OK
+        out = tmp_path / "out.svg"
+        assert main([hex_path if a == "HEX" else str(out) if a == "OUT" else a for a in argv]) == EXIT_OK
         assert capsys.readouterr().err == ""
 
     @pytest.mark.parametrize("failing", ["write", "flush"])
@@ -1144,7 +1196,9 @@ options = {
         "--tolerance": st.sampled_from(["1e-9", "0", "-1", "nan", "inf", "x"]),
     },
     "figure": {
-        "--steps": small_ints | st.just(str(FIGURE_MAX_STEPS + 1)), "--width": small_ints, "--height": small_ints,
+        "--steps": small_ints | st.just(str(FIGURE_MAX_STEPS + 1)),
+        "--width": small_ints | st.just(str(FIGURE_MAX_SIDE + 1)),
+        "--height": small_ints | st.just(str(FIGURE_MAX_SIDE + 1)),
         "--fade-start": st.sampled_from(["0", "0.5", "1", "2", "nan"]),
         "--fade-end": st.sampled_from(["0", "0.5", "1", "-1"]),
         "--no-line": st.none(), "--no-centroids": st.none(),
@@ -1177,17 +1231,25 @@ class TestNoInputEscapesMain:
     @given(documents, argument_lists())
     @example(DEEP_DOCUMENT, ["verify", DOC])
     @example(json.dumps({"vertices": [["1e10000000", "0"], ["1", "0"]]}), ["iterate", DOC, "--mode", "float"])
+    # a side past the float range, and a side whose drawing scale overflows to inf
+    @example(json.dumps(HEX_DOC), ["figure", DOC, "--width", str(10**400), "--output", OUT])
+    @example(json.dumps(HEX_DOC), ["figure", DOC, "--height", str(10**400), "--output", OUT])
+    @example(json.dumps(TINY_HEX_DOC),
+             ["figure", DOC, "--width", str(10**300), "--height", str(10**300), "--output", OUT])
     def test_exit_code_in_contract(self, document, argv):
         with tempfile.TemporaryDirectory() as tmp:
             path = Path(tmp) / "doc.json"
+            out = Path(tmp) / "out"
             path.write_text(document, encoding="utf-8")
-            argv = [str(path) if a == DOC else str(Path(tmp) / "out") if a == OUT else a for a in argv]
+            argv = [str(path) if a == DOC else str(out) if a == OUT else a for a in argv]
             with redirect_stdout(StringIO()), redirect_stderr(StringIO()):
                 try:
                     code = main(argv)
                 except SystemExit as exc:  # argparse: exit 2 on a usage error, 0 for -h
                     code = exc.code
+            svg = out.read_text(encoding="utf-8") if argv[:1] == ["figure"] and out.exists() else ""
         assert code in (EXIT_OK, EXIT_VIOLATION, EXIT_USAGE, EXIT_INSUFFICIENT)
+        assert "nan" not in svg and "inf" not in svg
 
 
 # The option strings of each command, and the two that take no value.

@@ -131,6 +131,8 @@ class TestConstruction:
             Polygon(())
         with pytest.raises(WrongSizeError):
             FloatPolygon(())
+        with pytest.raises(WrongSizeError):
+            ModeVector(())
         with pytest.raises(ValueError, match="opacities"):
             FigureSpec(fade_end=2.0)
 

@@ -95,6 +95,11 @@ class TestRootsAndEigenvalues:
             for j in range(m):
                 assert abs(abs(root_of_unity(m, j)) - 1.0) <= 1e-15
 
+    def test_size_validated(self):
+        for call in (lambda: root_of_unity(0, 1), lambda: mode_basis(0, 1)):
+            with pytest.raises(WrongSizeError, match="m must be at least 1"):
+                call()
+
     def test_hexagon_eigenvalues(self):
         assert eigenvalue(6, 0) == 1 + 0j
         assert abs(eigenvalue(6, 3)) <= 1e-15
@@ -211,6 +216,12 @@ class TestTransform:
 
 
 class TestAdvanceModes:
+    def test_negative_steps_rejected(self):
+        mv = ModeVector((0j, 1 + 0j, 0j))
+        for call in (lambda: advance_modes(mv, -1), lambda: next(orbit_moments(mv, -1))):
+            with pytest.raises(ValueError, match="nonnegative"):
+                call()
+
     def test_zero_steps_is_identity(self):
         mv = ModeVector((1 + 2j, -1j, 0.5 + 0j, 2 + 0j, 0j, 1 + 1j))
         assert advance_modes(mv, 0) == mv
@@ -331,8 +342,10 @@ class TestClosedFormCentroid:
     def test_preconditions(self):
         with pytest.raises(WrongSizeError):
             closed_form_centroid(ModeVector((0j,) * 5), 0)
-        with pytest.raises(ValueError):
+        with pytest.raises(ValueError, match="projected out"):
             closed_form_centroid(ModeVector((1 + 0j, 1 + 0j, 0j, 0j, 0j, 0j)), 0)
+        with pytest.raises(ValueError, match="nonnegative"):
+            closed_form_centroid(ModeVector((0j, 1 + 0j, 1 + 0j, 0j, 0j, 0j)), -1)
 
     @pytest.mark.parametrize("scale", [10**6, 10**9, 10**12])
     def test_projected_hexagon_at_any_scale(self, scale):

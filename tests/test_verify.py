@@ -454,6 +454,10 @@ class TestZScaling:
         p = Polygon.from_coords([(3, 1), (1, 1), (3, 1), (1, 1), (3, 1), (1, 1)])
         assert verify_z_scaling(p)
 
+    def test_wrong_size(self):
+        with pytest.raises(WrongSizeError):
+            verify_z_scaling(Polygon.from_coords([(0, 0), (1, 0), (0, 1)]))
+
     def test_projection_hypothesis_is_necessary(self):
         p = Polygon.from_coords(UNPROJECTED_SCALING_FAILS_HEX)
         assert verify_z_scaling(p)
